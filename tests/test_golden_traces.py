@@ -1,0 +1,105 @@
+"""Bit-identity pins for the runners, the harness and the Verlet flow.
+
+Each case hashes exact output bytes on fixed seeds: the CSV that
+``write_csv`` writes for a small family, the raw arrays of an integrated
+trajectory, and the floats of restart events and bound reports.  A change
+that alters any trace by even one ulp changes a digest.  When a change is
+meant to alter traces, the new digests go in with an explanation of the
+difference in CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from consopt.continuous import (
+    integrate_conservative,
+    kinetic_energy_maxima,
+    kinetic_max_restart_time,
+    run_piecewise_conservative,
+)
+from consopt.harness import ExperimentConfig, run_experiment, write_csv
+from consopt.objectives import gen_random_quadratic, quadratic_objective
+
+SMOOTH = ("gd", "nag-c", "nag-c-restart", "rcm-grad", "rcm-kin", "rcm-mmd-r", "rcm-mmd-dr")
+NEEDS_MU = ("nag-sc", "nag-sc-under")
+COMPOSITE = ("fista", "fista-restart", "rcm-comp-grad", "rcm-comp-kin", "rcm-comp-mmd-r", "rcm-comp-mmd-dr")
+
+GOLDEN = {
+    "csv-quadratic": "ca329359259067b4d433fe70440eda2569ec12cc1beb38d8f5fce6f7df3e0e2b",
+    "csv-quadratic-l1": "11889a5c829cbd71e0b2967b360cb786a884f98856fc5fa96510ffb7f3a5cbae",
+    "csv-logistic": "155e49928b7f3a29e200b4e6bfad4e82ea50d510edd58daaa237c37c96e4e723",
+    "csv-logistic-l1": "97ee2be16f3bb09cdd1958fd9b501f1cf6934121e375dd9f6cd065a4e2893566",
+    "csv-logsumexp": "1efc48e33da9c8549f81f57164c00fdf3838df9b410bff3da9ed1e54865cc920",
+    "csv-logsumexp-l1": "a94bcccd56b6de6b2fb86d57a548e91b65502e78110e9c8cd9930fb535850f2f",
+    "integrate-conservative": "e88c19747ea44466a9c59cd8fac2b429f901ede9e8e15a9dcd8e077e304ac2fd",
+    "kinetic-energy-maxima": "527551dca9a6f133e9531d9d65bb7ecd59bf6394599d98ed04d66f47bf3989e1",
+    "piecewise-conservative": "c3faacf103d042b95f30aa69631f6bcdf0e5863c10377b8b3dd6eb638296a627",
+}
+
+
+def _sha(*chunks):
+    h = hashlib.sha256()
+    for c in chunks:
+        h.update(c if isinstance(c, bytes) else np.ascontiguousarray(c).tobytes())
+    return h.hexdigest()
+
+
+def _family_csv(problem, l1, tmp_path):
+    methods = COMPOSITE if l1 else SMOOTH + (NEEDS_MU if problem == "quadratic" else ())
+    cfg = ExperimentConfig(problem=problem, l1=l1, n=8, m=20, reps=2, max_iter=60, base_seed=3,
+                           methods=methods)
+    path = tmp_path / "rows.csv"
+    write_csv(run_experiment(cfg), path)
+    return path.read_bytes()
+
+
+def _quadratic(n, seed):
+    obj = gen_random_quadratic(n, 0.1, 4.0, seed)
+    return obj, np.random.default_rng([seed, 1]).standard_normal(n)
+
+
+def _integrate_conservative():
+    obj, x0 = _quadratic(5, 11)
+    traj = integrate_conservative(obj, x0, 0.3 * x0[::-1], 0.01, 3.0, record_every=7)
+    return _sha(traj.times, traj.xs, traj.vs, np.float64(traj.energy_drift))
+
+
+def _event_bytes(events):
+    return [np.array([e.time, e.time_abs, e.kinetic_energy, e.f_value, e.arc_length]) for e in events] + [
+        np.concatenate([e.x, e.v]) for e in events
+    ]
+
+
+def _kinetic_energy_maxima():
+    obj = quadratic_objective(np.diag([1.0, 2.0, 3.5]), np.zeros(3))
+    events = kinetic_energy_maxima(obj, np.array([1.0, -0.5, 0.25]), 12.0, dt=0.004)
+    assert len(events) >= 2
+    one_d = kinetic_max_restart_time(quadratic_objective(np.array([[2.0]]), np.array([0.5])), np.array([1.0]),
+                                     dt=0.003)
+    return _sha(*_event_bytes(events + [one_d]))
+
+
+def _piecewise_conservative():
+    obj, x0 = _quadratic(4, 5)
+    res = run_piecewise_conservative(obj, x0, dt=0.002, n_restarts=3, record_every=16)
+    traj = res.trajectory
+    text = json.dumps({"segments": res.segments, "reports": res.reports}, sort_keys=True).encode()
+    return _sha(text, traj.times, traj.xs, traj.vs, *_event_bytes(traj.events))
+
+
+@pytest.mark.filterwarnings("ignore:rep .* clipped")
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_digest(name, tmp_path):
+    if name.startswith("csv-"):
+        problem, _, l1 = name[len("csv-"):].partition("-")
+        digest = _sha(_family_csv(problem, l1 == "l1", tmp_path))
+    else:
+        digest = {
+            "integrate-conservative": _integrate_conservative,
+            "kinetic-energy-maxima": _kinetic_energy_maxima,
+            "piecewise-conservative": _piecewise_conservative,
+        }[name]()
+    assert digest == GOLDEN[name]
