@@ -3,7 +3,6 @@
 Subcommands:
   bench       run a benchmark family and write the convergence rows as CSV
   continuous  run one continuous-time theory check and emit a JSON report
-  verify      run the full invariant suite (exit 1 on any violation)
 """
 
 from __future__ import annotations
@@ -15,7 +14,15 @@ import sys
 import numpy as np
 
 from . import continuous as cont
-from .harness import ExperimentConfig, run_experiment, write_csv, write_report
+from .harness import (
+    COMPOSITE_METHODS,
+    PROBLEMS,
+    SMOOTH_METHODS,
+    ExperimentConfig,
+    run_experiment,
+    write_csv,
+    write_report,
+)
 from .objectives import quadratic_objective
 
 CONTINUOUS_CHECKS = (
@@ -109,8 +116,8 @@ def _check_visiting_time(args):
     }
 
 
-def _cmd_bench(args):
-    config = ExperimentConfig(
+def _bench_config(args):
+    return ExperimentConfig(
         problem=args.problem,
         l1=args.l1,
         n=args.n,
@@ -120,7 +127,10 @@ def _cmd_bench(args):
         base_seed=args.seed,
         methods=tuple(args.methods.split(",")) if args.methods else (),
     )
-    rows = run_experiment(config)
+
+
+def _cmd_bench(args):
+    rows = run_experiment(args.config)
     if args.out:
         write_csv(rows, args.out)
         print(f"{len(rows)} rows -> {args.out}")
@@ -147,31 +157,21 @@ def _cmd_continuous(args):
     return 0 if report.get("pass", False) else 1
 
 
-def _cmd_verify(_args):
-    from .verify import run_all
-
-    results = run_all(verbose=True)
-    failed = [name for name, ok, _ in results if not ok]
-    if failed:
-        print(f"{len(failed)} check(s) failed: {', '.join(failed)}")
-        return 1
-    print(f"all {len(results)} checks passed")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="consopt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     bench = sub.add_parser("bench", help="run a benchmark family, write CSV rows")
-    bench.add_argument("problem", choices=("quadratic", "logistic", "logsumexp"))
+    bench.add_argument("problem", choices=PROBLEMS)
     bench.add_argument("--l1", action="store_true", help="l1-composite variant")
     bench.add_argument("--n", type=int, default=100)
     bench.add_argument("--m", type=int, default=200)
     bench.add_argument("--reps", type=int, default=1)
     bench.add_argument("--iters", type=int, default=1000)
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--methods", type=str, default="", help="comma-separated method names")
+    bench.add_argument("--methods", type=str, default="",
+                       help=f"comma-separated method names; smooth: {', '.join(SMOOTH_METHODS)}; "
+                       f"with --l1: {', '.join(COMPOSITE_METHODS)}")
     bench.add_argument("--out", type=str, default="")
     bench.set_defaults(func=_cmd_bench)
 
@@ -184,14 +184,17 @@ def build_parser() -> argparse.ArgumentParser:
     con.add_argument("--restarts", type=int, default=3)
     con.add_argument("--out", type=str, default="")
     con.set_defaults(func=_cmd_continuous)
-
-    ver = sub.add_parser("verify", help="run the invariant suite")
-    ver.set_defaults(func=_cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "bench":
+        try:
+            args.config = _bench_config(args)
+        except ValueError as err:  # e.g. an unknown method, or a composite one without --l1
+            parser.error(str(err))
     return args.func(args)
 
 

@@ -11,17 +11,16 @@ reproduces its smooth counterpart exactly.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .discrete import RESTART_CRITERIA, DiscreteState, DivergenceError, should_restart
+from .discrete import Trace, _Recorder, _check_rcm_args, should_restart
 from .objectives import CompositeObjective, minimal_norm_subgradient
 
 Array = np.ndarray
 
-DIVERGENCE_LIMIT = 1e150
+# Composite runs record into the shared Trace, with the crossings column set.
+CompositeTrace = Trace
 
 __all__ = [
     "CompositeTrace",
@@ -31,66 +30,6 @@ __all__ = [
     "fista_run",
     "fista_restart_run",
 ]
-
-
-@dataclass
-class CompositeTrace:
-    """Per-iteration record of a composite run.
-
-    Same layout as the smooth Trace with ``residuals`` holding the
-    minimal-norm subgradient norm, plus a sign-crossing flag column that is
-    set only on iterations where at least one coordinate was zeroed.
-    """
-
-    method: str
-    step: float
-    iters: Array
-    fvals: Array
-    residuals: Array
-    restarts: Array
-    crossings: Array
-    final_state: DiscreteState
-    xs: Optional[Array] = None
-
-    def __len__(self) -> int:
-        return len(self.iters)
-
-
-class _Recorder:
-    def __init__(self, keep_iterates):
-        self.iters, self.fvals, self.residuals = [], [], []
-        self.restarts, self.crossings = [], []
-        self.xs = [] if keep_iterates else None
-
-    def add(self, k, fval, resid, fired, crossed, x=None):
-        self.iters.append(k)
-        self.fvals.append(fval)
-        self.residuals.append(resid)
-        self.restarts.append(fired)
-        self.crossings.append(crossed)
-        if self.xs is not None:
-            self.xs.append(np.array(x))
-
-    def trace(self, method, step, final_state):
-        return CompositeTrace(
-            method=method,
-            step=step,
-            iters=np.asarray(self.iters, dtype=int),
-            fvals=np.asarray(self.fvals, dtype=float),
-            residuals=np.asarray(self.residuals, dtype=float),
-            restarts=np.asarray(self.restarts, dtype=bool),
-            crossings=np.asarray(self.crossings, dtype=bool),
-            final_state=final_state,
-            xs=None if self.xs is None else np.asarray(self.xs),
-        )
-
-
-def _check_finite(rec, method, step, fval, resid, state):
-    if not (np.isfinite(fval) and np.isfinite(resid)) or abs(fval) > DIVERGENCE_LIMIT or resid > DIVERGENCE_LIMIT:
-        raise DivergenceError(
-            f"{method}: diverged at iteration {state.iter} (f = {fval:g}, residual = {resid:g})",
-            partial_trace=rec.trace(method, step, state),
-        )
 
 
 def prox_l1(z: Array, tau: float) -> Array:
@@ -126,7 +65,6 @@ def rcm_comp_run(
     criterion: str,
     max_iter: int,
     restart_grad_at: str = "new",
-    reset_mmd_on_cross: bool = True,
     keep_iterates: bool = False,
 ) -> CompositeTrace:
     """Conservative restart method on g + gamma ||.||_1.
@@ -134,27 +72,14 @@ def rcm_comp_run(
     The smooth loop with grad f replaced by the minimal-norm subgradient:
     trial step, restart test, then the sign-crossing projection with a full
     velocity reset whenever any coordinate crossed zero.  A crossing also
-    resets the mean-dissipation reference index l by default, since a forced
-    velocity zeroing invalidates the kinetic-energy comparison across it
-    (disable with ``reset_mmd_on_cross=False``).
+    resets the mean-dissipation reference index l, since a forced velocity
+    zeroing invalidates the kinetic-energy comparison across it.
 
     With ``l1_weight == 0`` the non-differentiability set is empty, the
     crossing projection never applies, and the trace is identical to the
     smooth run on ``f.smooth``.
     """
-    if criterion not in RESTART_CRITERIA:
-        raise ValueError(f"unknown restart criterion {criterion!r}")
-    if restart_grad_at not in ("old", "new"):
-        raise ValueError("restart_grad_at must be 'old' or 'new'")
-    if h <= 0:
-        raise ValueError("h must be positive")
-    L = f.smooth.lipschitz
-    if h >= np.sqrt(2.0 / L):
-        warnings.warn(
-            f"h = {h:g} is outside the convergence range h < sqrt(2/L) = {np.sqrt(2.0 / L):g}",
-            stacklevel=2,
-        )
-
+    _check_rcm_args(criterion, restart_grad_at, h, f.smooth.lipschitz)
     sub = lambda x: minimal_norm_subgradient(f, x)
     needs_trial_sub = criterion in ("grad", "mmd-dr")
     has_kink = f.l1_weight > 0.0
@@ -164,9 +89,8 @@ def rcm_comp_run(
     v = np.zeros_like(x)
     d = sub(x)
     l = 0
-    rec = _Recorder(keep_iterates)
-    rec.add(0, f.value(x), float(np.linalg.norm(d)), False, False, x=x)
-    _check_finite(rec, method, h, rec.fvals[-1], rec.residuals[-1], DiscreteState(x, v, 0, l))
+    rec = _Recorder(method, h, keep_iterates)
+    rec.add(0, f.value(x), float(np.linalg.norm(d)), False, x, v, l, crossed=False)
 
     for k in range(max_iter):
         v_trial = v - h * d
@@ -184,16 +108,12 @@ def rcm_comp_run(
             x_new, crossed = sign_crossing_projection(x, x_new)
             if crossed:
                 v_new = np.zeros_like(v_new)
-                if reset_mmd_on_cross:
-                    l = k + 1
+                l = k + 1
         x, v = x_new, v_new
         d = sub(x)
-        f_k = f.value(x)
-        r_k = float(np.linalg.norm(d))
-        rec.add(k + 1, f_k, r_k, fire, crossed, x=x)
-        _check_finite(rec, method, h, f_k, r_k, DiscreteState(x, v, k + 1, l))
+        rec.add(k + 1, f.value(x), float(np.linalg.norm(d)), fire, x, v, l, crossed)
 
-    return rec.trace(method, h, DiscreteState(x, v, max_iter, l))
+    return rec.trace(x, v, l)
 
 
 def fista_run(f: CompositeObjective, x0, s: float, max_iter: int, keep_iterates: bool = False) -> CompositeTrace:
@@ -228,10 +148,9 @@ def _fista(f, x0, s, max_iter, restart, keep_iterates):
     x = np.array(x0, dtype=float)
     y = x.copy()
     t = 1.0
-    rec = _Recorder(keep_iterates)
+    rec = _Recorder(method, s, keep_iterates)
     d0 = minimal_norm_subgradient(f, x)
-    rec.add(0, f.value(x), float(np.linalg.norm(d0)), False, False, x=x)
-    _check_finite(rec, method, s, rec.fvals[-1], rec.residuals[-1], DiscreteState(x, np.zeros_like(x), 0, 0))
+    rec.add(0, f.value(x), float(np.linalg.norm(d0)), False, x, crossed=False)
 
     for k in range(max_iter):
         x_prev = x
@@ -245,9 +164,6 @@ def _fista(f, x0, s, max_iter, restart, keep_iterates):
             y = x + ((t - 1.0) / t_next) * (x - x_prev)
             t = t_next
         d = minimal_norm_subgradient(f, x)
-        f_k = f.value(x)
-        r_k = float(np.linalg.norm(d))
-        rec.add(k + 1, f_k, r_k, fire, False, x=x)
-        _check_finite(rec, method, s, f_k, r_k, DiscreteState(x, np.zeros_like(x), k + 1, 0))
+        rec.add(k + 1, f.value(x), float(np.linalg.norm(d)), fire, x, crossed=False)
 
-    return rec.trace(method, s, DiscreteState(x, np.zeros_like(x), max_iter, 0))
+    return rec.trace(x)

@@ -175,6 +175,30 @@ def _refine_event(grad, make_test, is_after, node_a, node_b, reltol):
 # -- integration ---------------------------------------------------------------
 
 
+def _verlet(grad, x0, v0, dt: float, n_steps: int):
+    """Stormer-Verlet nodes of x'' = -grad f(x) from (x0, v0).
+
+    Yields (i, t, x, v, g, a) at node 0 and after each of ``n_steps`` steps
+    of size ``dt``, with t = i dt, g = grad f(x) and a = -g.  Raises on the
+    first non-finite state.
+    """
+    x = np.array(x0, dtype=float)
+    v = np.array(v0, dtype=float)
+    g = grad(x)
+    a = -g
+    yield 0, 0.0, x, v, g, a
+    for i in range(1, n_steps + 1):
+        v_half = v + 0.5 * dt * a
+        x = x + dt * v_half
+        g = grad(x)
+        a = -g
+        v = v_half + 0.5 * dt * a
+        t = i * dt
+        if not np.all(np.isfinite(x)) or not np.all(np.isfinite(v)):
+            raise RuntimeError(f"non-finite state at t = {t:g}")
+        yield i, t, x, v, g, a
+
+
 def integrate_conservative(
     obj: SmoothObjective, x0, v0, dt: float, T: float, record_every: int = 1
 ) -> ContinuousTrajectory:
@@ -188,26 +212,16 @@ def integrate_conservative(
         raise ValueError("dt must be positive")
     if T <= dt:
         raise ValueError("T must exceed dt")
-    x = np.array(x0, dtype=float)
-    v = np.array(v0, dtype=float)
-    grad = obj.gradient
-    g = grad(x)
-    a = -g
+    n_steps = int(np.ceil(T / dt))
+    nodes = _verlet(obj.gradient, x0, v0, dt, n_steps)
+    _, t, x, v, _, _ = next(nodes)
     h0 = 0.5 * float(v @ v) + obj.value(x)
     drift = 0.0
-    n_steps = int(np.ceil(T / dt))
-    times, xs, vs = [0.0], [x.copy()], [v.copy()]
-    for i in range(1, n_steps + 1):
-        v_half = v + 0.5 * dt * a
-        x = x + dt * v_half
-        g = grad(x)
-        a = -g
-        v = v_half + 0.5 * dt * a
-        if not np.all(np.isfinite(x)) or not np.all(np.isfinite(v)):
-            raise RuntimeError(f"non-finite state at t = {i * dt:g}")
+    times, xs, vs = [t], [x], [v]
+    for i, t, x, v, _, _ in nodes:
         drift = max(drift, abs(0.5 * float(v @ v) + obj.value(x) - h0))
         if i % record_every == 0 or i == n_steps:
-            times.append(i * dt)
+            times.append(t)
             xs.append(x)
             vs.append(v)
     return ContinuousTrajectory(
@@ -266,40 +280,24 @@ def _kin_test(t, x, v, g):
 def _scan_from_rest(obj, x0, dt, cap, mode, reltol, record_stride=None):
     """Integrate from rest scanning for the restart event of ``mode``.
 
-    Returns (event_state or None, n_steps_taken, arc_length, samples) where
-    event_state is (t, x, v, g) refined by bisection, arc_length is the curve
-    length up to the event (or the cap), and samples is a list of (t, x, v)
-    at every ``record_stride``-th node starting from node 0 (empty when
-    ``record_stride`` is None).
+    Returns (event_state or None, arc_length, samples) where event_state is
+    (t, x, v, g) refined by bisection, arc_length is the curve length up to
+    the event (or the cap), and samples is a list of (t, x, v) at every
+    ``record_stride``-th node starting from node 0 (empty when
+    ``record_stride`` is None).  At node 0 the velocity is zero, so neither
+    test fires there.
     """
     grad = obj.gradient
-    x = np.array(x0, dtype=float)
-    v = np.zeros_like(x)
-    g = grad(x)
-    a = -g
-    t = 0.0
-    arc = 0.0
-    speed = 0.0
-    armed = False  # kinetic mode: becomes true once dE_K/dt > 0 was seen
-    max_steps = int(np.ceil(cap / dt))
-    prev = (t, x, v, a)
-    prev_speed = speed
-    samples = []
-    if record_stride:
-        samples.append((0.0, x.copy(), v.copy()))
+    x0 = np.asarray(x0, dtype=float)
     if mode == "mmd":
         test, is_after = _mmd_test, lambda val: val < 0.0
     else:
         test, is_after = _kin_test, lambda val: val >= 0.0
-    for i in range(1, max_steps + 1):
-        v_half = v + 0.5 * dt * a
-        x = x + dt * v_half
-        g = grad(x)
-        a = -g
-        v = v_half + 0.5 * dt * a
-        t = i * dt
-        if not np.all(np.isfinite(x)) or not np.all(np.isfinite(v)):
-            raise RuntimeError(f"non-finite state at t = {t:g}")
+    arc = 0.0
+    armed = False  # kinetic mode: becomes true once dE_K/dt > 0 was seen
+    prev, prev_speed = None, 0.0
+    samples = []
+    for i, t, x, v, g, a in _verlet(grad, x0, np.zeros_like(x0), dt, int(np.ceil(cap / dt))):
         speed = float(np.linalg.norm(v))
         q = float(g @ v)  # -dE_K/dt
         if mode == "mmd":
@@ -313,13 +311,13 @@ def _scan_from_rest(obj, x0, dt, cap, mode, reltol, record_stride=None):
             )
             sp_ev = float(np.linalg.norm(v_ev))
             arc += 0.5 * (t_ev - prev[0]) * (prev_speed + sp_ev)
-            return (t_ev, x_ev, v_ev, g_ev), i, arc, samples
+            return (t_ev, x_ev, v_ev, g_ev), arc, samples
         arc += 0.5 * dt * (prev_speed + speed)
         if record_stride and i % record_stride == 0:
             samples.append((t, x, v))
         prev = (t, x, v, a)
         prev_speed = speed
-    return None, max_steps, arc, samples
+    return None, arc, samples
 
 
 def _event_from_state(obj, state, arc, t_offset=0.0) -> RestartEvent:
@@ -355,6 +353,20 @@ def _mmd_cap(obj, x0, dt, cap, f_star):
     return finite_restart_cap(obj, x0, float(traj.times[-1]), ek1, f_star)
 
 
+def _first_event(obj, x0, dt, cap, f_star, mode, reltol):
+    """First restart event of ``mode`` on the flow from rest at x0, or None
+    when the scan reaches the cap; also returns the cap."""
+    x0 = np.asarray(x0, dtype=float)
+    g0 = obj.gradient(x0)
+    if float(np.linalg.norm(g0)) == 0.0:
+        raise ValueError("grad f(x0) = 0: the flow from rest is stationary")
+    if dt is None:
+        dt = default_time_step(obj)
+    cap = _mmd_cap(obj, x0, dt, cap, f_star)
+    state, arc, _ = _scan_from_rest(obj, x0, dt, cap, mode, reltol)
+    return (None if state is None else _event_from_state(obj, state, arc)), cap
+
+
 def mmd_restart_time(
     obj: SmoothObjective,
     x0,
@@ -373,20 +385,13 @@ def mmd_restart_time(
     explicitly).  Failing to find the event within the cap raises, since it
     would contradict the restart-time bound.
     """
-    x0 = np.asarray(x0, dtype=float)
-    g0 = obj.gradient(x0)
-    if float(np.linalg.norm(g0)) == 0.0:
-        raise ValueError("grad f(x0) = 0: the flow from rest is stationary")
-    if dt is None:
-        dt = default_time_step(obj)
-    cap = _mmd_cap(obj, x0, dt, cap, f_star)
-    state, _, arc, _ = _scan_from_rest(obj, x0, dt, cap, "mmd", reltol)
-    if state is None:
+    event, cap = _first_event(obj, x0, dt, cap, f_star, "mmd", reltol)
+    if event is None:
         raise RuntimeError(
             f"no mean-dissipation maximum within the cap {cap:g}; this "
             "contradicts the restart-time upper bound"
         )
-    return _event_from_state(obj, state, arc)
+    return event
 
 
 def kinetic_max_restart_time(
@@ -405,17 +410,7 @@ def kinetic_max_restart_time(
     frequencies), so reaching the cap without an event returns None rather
     than raising.
     """
-    x0 = np.asarray(x0, dtype=float)
-    g0 = obj.gradient(x0)
-    if float(np.linalg.norm(g0)) == 0.0:
-        raise ValueError("grad f(x0) = 0: the flow from rest is stationary")
-    if dt is None:
-        dt = default_time_step(obj)
-    cap = _mmd_cap(obj, x0, dt, cap, f_star)
-    state, _, arc, _ = _scan_from_rest(obj, x0, dt, cap, "kin", reltol)
-    if state is None:
-        return None
-    return _event_from_state(obj, state, arc)
+    return _first_event(obj, x0, dt, cap, f_star, "kin", reltol)[0]
 
 
 def kinetic_energy_maxima(
@@ -433,26 +428,15 @@ def kinetic_energy_maxima(
     if dt is None:
         dt = default_time_step(obj)
     grad = obj.gradient
-    x = np.array(x0, dtype=float)
-    v = np.zeros_like(x)
-    g = grad(x)
-    a = -g
+    x0 = np.asarray(x0, dtype=float)
     armed = False
     events = []
-    prev = (0.0, x, v, a)
-    test = lambda tt, xx, vv, gg: float(gg @ vv)
+    prev = None
     is_after = lambda val: val >= 0.0
-    n_steps = int(np.ceil(horizon / dt))
-    for i in range(1, n_steps + 1):
-        v_half = v + 0.5 * dt * a
-        x = x + dt * v_half
-        g = grad(x)
-        a = -g
-        v = v_half + 0.5 * dt * a
-        t = i * dt
-        q = float(g @ v)
+    for _, t, x, v, g, a in _verlet(grad, x0, np.zeros_like(x0), dt, int(np.ceil(horizon / dt))):
+        q = float(g @ v)  # zero at node 0, which starts at rest
         if armed and q >= 0.0:
-            state = _refine_event(grad, test, is_after, prev, (t, x, v, a), reltol)
+            state = _refine_event(grad, _kin_test, is_after, prev, (t, x, v, a), reltol)
             events.append(_event_from_state(obj, state, np.nan))
             armed = False
         elif q < 0.0:
@@ -513,9 +497,7 @@ def run_piecewise_conservative(
             break
         seg_cap = _mmd_cap(obj, x, dt, cap, f_star)
         stride = record_every or 8
-        state, n_steps, arc, samples = _scan_from_rest(
-            obj, x, dt, seg_cap, "mmd", reltol, record_stride=stride
-        )
+        state, arc, samples = _scan_from_rest(obj, x, dt, seg_cap, "mmd", reltol, record_stride=stride)
         if state is None:
             raise RuntimeError(f"segment {seg}: no restart within the cap {seg_cap:g}")
         event = _event_from_state(obj, state, arc, t_offset=t_abs)

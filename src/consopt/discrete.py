@@ -67,13 +67,17 @@ class DiscreteState:
 
 @dataclass
 class Trace:
-    """Per-iteration record of a discrete run.
+    """Per-iteration record of a discrete run, smooth or composite.
 
-    Row k holds (iteration index, f value, gradient norm, restart flag) at
+    Row k holds (iteration index, f value, residual, restart flag) at
     iterate x_k; row 0 is the starting point, so the number of rows equals
-    the number of iterations plus one.  ``restart_origin`` tracks the
-    bookkeeping index l of the segment each iterate belongs to, and ``xs``
-    holds the full iterate history when the run was asked to keep it.
+    the number of iterations plus one.  The residual is the gradient norm,
+    or the minimal-norm subgradient norm on a composite objective.
+    ``restart_origin`` tracks the bookkeeping index l of the segment each
+    iterate belongs to (restart runs only), ``crossings`` flags the
+    iterations where a composite run zeroed at least one coordinate
+    (composite runs only), and ``xs``/``vs`` hold the iterate and velocity
+    history when the run was asked to keep it.
     """
 
     method: str
@@ -86,54 +90,66 @@ class Trace:
     restart_origin: Optional[Array] = None
     xs: Optional[Array] = None
     vs: Optional[Array] = None
+    crossings: Optional[Array] = None
 
     def __len__(self) -> int:
         return len(self.iters)
 
 
 class _Recorder:
-    def __init__(self, keep_iterates, dim, track_origin=False):
+    """Rows of one run.  ``add`` appends a row and aborts the run with a
+    DivergenceError carrying the rows so far when the row's value or
+    residual is non-finite or beyond DIVERGENCE_LIMIT.
+
+    The ``restart_origin`` and ``crossings`` columns exist only when the
+    runner passes ``l`` and ``crossed`` to ``add``.
+    """
+
+    def __init__(self, method, step, keep_iterates):
+        self.method = method
+        self.step = step
         self.iters = []
         self.fvals = []
         self.residuals = []
         self.restarts = []
-        self.origins = [] if track_origin else None
+        self.origins = []
+        self.crossings = []
         self.xs = [] if keep_iterates else None
         self.vs = [] if keep_iterates else None
-        self.dim = dim
 
-    def add(self, k, fval, resid, flag, x=None, origin=None, v=None):
+    def add(self, k, fval, resid, fired, x, v=None, l=None, crossed=None):
         self.iters.append(k)
         self.fvals.append(fval)
         self.residuals.append(resid)
-        self.restarts.append(flag)
-        if self.origins is not None:
-            self.origins.append(origin)
+        self.restarts.append(fired)
+        if l is not None:
+            self.origins.append(l)
+        if crossed is not None:
+            self.crossings.append(crossed)
         if self.xs is not None:
             self.xs.append(np.array(x))
-        if self.vs is not None:
             self.vs.append(None if v is None else np.array(v))
+        if not (np.isfinite(fval) and np.isfinite(resid)) or abs(fval) > DIVERGENCE_LIMIT or resid > DIVERGENCE_LIMIT:
+            raise DivergenceError(
+                f"{self.method}: diverged at iteration {k} (f = {fval:g}, residual = {resid:g})",
+                partial_trace=self.trace(x, v, l),
+            )
 
-    def trace(self, method, step, final_state):
+    def trace(self, x, v=None, l=None):
+        """The rows so far, ending in state (x, v) with last restart l;
+        runners without a velocity or restart index report zeros."""
         return Trace(
-            method=method,
-            step=step,
+            method=self.method,
+            step=self.step,
             iters=np.asarray(self.iters, dtype=int),
             fvals=np.asarray(self.fvals, dtype=float),
             residuals=np.asarray(self.residuals, dtype=float),
             restarts=np.asarray(self.restarts, dtype=bool),
-            final_state=final_state,
-            restart_origin=None if self.origins is None else np.asarray(self.origins, dtype=int),
+            final_state=DiscreteState(x, np.zeros_like(x) if v is None else v, self.iters[-1], l or 0),
+            restart_origin=np.asarray(self.origins, dtype=int) if self.origins else None,
             xs=None if self.xs is None else np.asarray(self.xs),
-            vs=None if self.vs is None or any(v is None for v in self.vs) else np.asarray(self.vs),
-        )
-
-
-def _check_finite(rec, method, step, fval, resid, state):
-    if not (np.isfinite(fval) and np.isfinite(resid)) or abs(fval) > DIVERGENCE_LIMIT or resid > DIVERGENCE_LIMIT:
-        raise DivergenceError(
-            f"{method}: diverged at iteration {state.iter} (f = {fval:g}, residual = {resid:g})",
-            partial_trace=rec.trace(method, step, state),
+            vs=None if self.vs is None or any(u is None for u in self.vs) else np.asarray(self.vs),
+            crossings=np.asarray(self.crossings, dtype=bool) if self.crossings else None,
         )
 
 
@@ -177,6 +193,22 @@ def should_restart(criterion: str, v: Array, v_new: Array, grad_at_xnew, k: int,
     raise ValueError(f"unknown restart criterion {criterion!r}; expected one of {RESTART_CRITERIA}")
 
 
+def _check_rcm_args(criterion, restart_grad_at, h, L):
+    """Argument checks shared by the smooth and composite restart loops."""
+    if criterion not in RESTART_CRITERIA:
+        raise ValueError(f"unknown restart criterion {criterion!r}")
+    if restart_grad_at not in ("old", "new"):
+        raise ValueError("restart_grad_at must be 'old' or 'new'")
+    if h <= 0:
+        raise ValueError("h must be positive")
+    if h >= np.sqrt(2.0 / L):
+        warnings.warn(
+            f"h = {h:g} is outside the convergence range h < sqrt(2/L) = "
+            f"{np.sqrt(2.0 / L):g}; the run may diverge",
+            stacklevel=3,
+        )
+
+
 def rcm_run(
     obj: SmoothObjective,
     x0,
@@ -200,19 +232,7 @@ def rcm_run(
     benchmark families and is what the reference results reflect; the
     alternative is kept for comparison.
     """
-    if criterion not in RESTART_CRITERIA:
-        raise ValueError(f"unknown restart criterion {criterion!r}")
-    if restart_grad_at not in ("old", "new"):
-        raise ValueError("restart_grad_at must be 'old' or 'new'")
-    if h <= 0:
-        raise ValueError("h must be positive")
-    if h >= np.sqrt(2.0 / obj.lipschitz):
-        warnings.warn(
-            f"h = {h:g} is outside the convergence range h < sqrt(2/L) = "
-            f"{np.sqrt(2.0 / obj.lipschitz):g}; the run may diverge",
-            stacklevel=2,
-        )
-
+    _check_rcm_args(criterion, restart_grad_at, h, obj.lipschitz)
     grad = obj.gradient
     fval = obj.value
     needs_trial_grad = criterion in ("grad", "mmd-dr")
@@ -221,9 +241,8 @@ def rcm_run(
     v = np.zeros_like(x)
     g = grad(x)
     l = 0
-    rec = _Recorder(keep_iterates, obj.dim, track_origin=True)
-    rec.add(0, fval(x), float(np.linalg.norm(g)), False, x=x, origin=l, v=v)
-    _check_finite(rec, f"rcm-{criterion}", h, rec.fvals[-1], rec.residuals[-1], DiscreteState(x, v, 0, l))
+    rec = _Recorder(f"rcm-{criterion}", h, keep_iterates)
+    rec.add(0, fval(x), float(np.linalg.norm(g)), False, x, v, l)
 
     for k in range(max_iter):
         v_trial = v - h * g
@@ -243,12 +262,9 @@ def rcm_run(
             if g_trial is None:
                 g_trial = grad(x_trial)
             x, v, g = x_trial, v_trial, g_trial
-        f_k = fval(x)
-        r_k = float(np.linalg.norm(g))
-        rec.add(k + 1, f_k, r_k, fire, x=x, origin=l, v=v)
-        _check_finite(rec, f"rcm-{criterion}", h, f_k, r_k, DiscreteState(x, v, k + 1, l))
+        rec.add(k + 1, fval(x), float(np.linalg.norm(g)), fire, x, v, l)
 
-    return rec.trace(f"rcm-{criterion}", h, DiscreteState(x, v, max_iter, l))
+    return rec.trace(x, v, l)
 
 
 def gradient_descent_run(obj: SmoothObjective, x0, s: float, max_iter: int, keep_iterates: bool = False) -> Trace:
@@ -258,45 +274,44 @@ def gradient_descent_run(obj: SmoothObjective, x0, s: float, max_iter: int, keep
     grad, fval = obj.gradient, obj.value
     x = np.array(x0, dtype=float)
     g = grad(x)
-    rec = _Recorder(keep_iterates, obj.dim)
-    rec.add(0, fval(x), float(np.linalg.norm(g)), False, x=x)
-    _check_finite(rec, "gd", s, rec.fvals[-1], rec.residuals[-1], DiscreteState(x, np.zeros_like(x), 0, 0))
+    rec = _Recorder("gd", s, keep_iterates)
+    rec.add(0, fval(x), float(np.linalg.norm(g)), False, x)
     for k in range(max_iter):
         x = x - s * g
         g = grad(x)
-        f_k = fval(x)
-        r_k = float(np.linalg.norm(g))
-        rec.add(k + 1, f_k, r_k, False, x=x)
-        _check_finite(rec, "gd", s, f_k, r_k, DiscreteState(x, np.zeros_like(x), k + 1, 0))
-    return rec.trace("gd", s, DiscreteState(x, np.zeros_like(x), max_iter, 0))
+        rec.add(k + 1, fval(x), float(np.linalg.norm(g)), False, x)
+    return rec.trace(x)
 
 
-def _warn_step(s, L, who):
+def _check_step(s, L, who):
+    if s <= 0:
+        raise ValueError("s must be positive")
     if s > 1.0 / L:
         warnings.warn(f"{who}: s = {s:g} exceeds 1/L = {1.0 / L:g}", stacklevel=3)
 
 
-def nag_c_run(obj: SmoothObjective, x0, s: float, max_iter: int, keep_iterates: bool = False) -> Trace:
-    """Nesterov's method for convex functions with momentum k/(k+3)."""
-    if s <= 0:
-        raise ValueError("s must be positive")
-    _warn_step(s, obj.lipschitz, "nag-c")
+def _momentum_run(obj, x0, s, momentum, max_iter, keep_iterates, method):
+    """Nesterov's loop y_{k+1} = x_k - s grad f(x_k),
+    x_{k+1} = y_{k+1} + momentum(k) (y_{k+1} - y_k), from y_0 = x_0."""
     grad, fval = obj.gradient, obj.value
     x = np.array(x0, dtype=float)
     y = x.copy()
     g = grad(x)
-    rec = _Recorder(keep_iterates, obj.dim)
-    rec.add(0, fval(x), float(np.linalg.norm(g)), False, x=x)
+    rec = _Recorder(method, s, keep_iterates)
+    rec.add(0, fval(x), float(np.linalg.norm(g)), False, x)
     for k in range(max_iter):
         y_new = x - s * g
-        x = y_new + (k / (k + 3.0)) * (y_new - y)
+        x = y_new + momentum(k) * (y_new - y)
         y = y_new
         g = grad(x)
-        f_k = fval(x)
-        r_k = float(np.linalg.norm(g))
-        rec.add(k + 1, f_k, r_k, False, x=x)
-        _check_finite(rec, "nag-c", s, f_k, r_k, DiscreteState(x, np.zeros_like(x), k + 1, 0))
-    return rec.trace("nag-c", s, DiscreteState(x, np.zeros_like(x), max_iter, 0))
+        rec.add(k + 1, fval(x), float(np.linalg.norm(g)), False, x)
+    return rec.trace(x)
+
+
+def nag_c_run(obj: SmoothObjective, x0, s: float, max_iter: int, keep_iterates: bool = False) -> Trace:
+    """Nesterov's method for convex functions with momentum k/(k+3)."""
+    _check_step(s, obj.lipschitz, "nag-c")
+    return _momentum_run(obj, x0, s, lambda k: k / (k + 3.0), max_iter, keep_iterates, "nag-c")
 
 
 def nag_sc_run(obj: SmoothObjective, x0, s: float, mu: float, max_iter: int, keep_iterates: bool = False) -> Trace:
@@ -306,30 +321,13 @@ def nag_sc_run(obj: SmoothObjective, x0, s: float, mu: float, max_iter: int, kee
     is caller-supplied so that deliberate underestimates of the strong
     convexity constant can be benchmarked.
     """
-    if s <= 0:
-        raise ValueError("s must be positive")
+    _check_step(s, obj.lipschitz, "nag-sc")
     if mu <= 0:
         raise ValueError("mu must be positive")
     if mu * s > 1.0:
         raise ValueError(f"mu * s = {mu * s:g} > 1: momentum coefficient out of range")
-    _warn_step(s, obj.lipschitz, "nag-sc")
     beta = (1.0 - np.sqrt(mu * s)) / (1.0 + np.sqrt(mu * s))
-    grad, fval = obj.gradient, obj.value
-    x = np.array(x0, dtype=float)
-    y = x.copy()
-    g = grad(x)
-    rec = _Recorder(keep_iterates, obj.dim)
-    rec.add(0, fval(x), float(np.linalg.norm(g)), False, x=x)
-    for k in range(max_iter):
-        y_new = x - s * g
-        x = y_new + beta * (y_new - y)
-        y = y_new
-        g = grad(x)
-        f_k = fval(x)
-        r_k = float(np.linalg.norm(g))
-        rec.add(k + 1, f_k, r_k, False, x=x)
-        _check_finite(rec, "nag-sc", s, f_k, r_k, DiscreteState(x, np.zeros_like(x), k + 1, 0))
-    return rec.trace("nag-sc", s, DiscreteState(x, np.zeros_like(x), max_iter, 0))
+    return _momentum_run(obj, x0, s, lambda k: beta, max_iter, keep_iterates, "nag-sc")
 
 
 def nag_c_restart_run(obj: SmoothObjective, x0, s: float, max_iter: int, keep_iterates: bool = False) -> Trace:
@@ -340,16 +338,14 @@ def nag_c_restart_run(obj: SmoothObjective, x0, s: float, max_iter: int, keep_it
     plain gradient-step point y_{k+1} (which keeps every recorded iteration
     at least as good as a gradient step).
     """
-    if s <= 0:
-        raise ValueError("s must be positive")
-    _warn_step(s, obj.lipschitz, "nag-c-restart")
+    _check_step(s, obj.lipschitz, "nag-c-restart")
     grad, fval = obj.gradient, obj.value
     x = np.array(x0, dtype=float)
     y = x.copy()
     g = grad(x)
     j = 0  # iterations since the last restart
-    rec = _Recorder(keep_iterates, obj.dim)
-    rec.add(0, fval(x), float(np.linalg.norm(g)), False, x=x)
+    rec = _Recorder("nag-c-restart", s, keep_iterates)
+    rec.add(0, fval(x), float(np.linalg.norm(g)), False, x)
     for k in range(max_iter):
         beta = j / (j + 3.0)
         y_new = x - s * g
@@ -365,8 +361,5 @@ def nag_c_restart_run(obj: SmoothObjective, x0, s: float, max_iter: int, keep_it
             g = g_cand
             j += 1
         y = y_new
-        f_k = fval(x)
-        r_k = float(np.linalg.norm(g))
-        rec.add(k + 1, f_k, r_k, fire, x=x)
-        _check_finite(rec, "nag-c-restart", s, f_k, r_k, DiscreteState(x, np.zeros_like(x), k + 1, 0))
-    return rec.trace("nag-c-restart", s, DiscreteState(x, np.zeros_like(x), max_iter, 0))
+        rec.add(k + 1, fval(x), float(np.linalg.norm(g)), fire, x)
+    return rec.trace(x)

@@ -14,7 +14,7 @@ import json
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -34,43 +34,65 @@ from .objectives import (
 
 PROBLEMS = ("quadratic", "logistic", "logsumexp")
 
-SMOOTH_METHODS = (
-    "gd",
-    "nag-c",
-    "nag-sc",
-    "nag-sc-under",
-    "nag-c-restart",
-    "rcm-grad",
-    "rcm-kin",
-    "rcm-mmd-r",
-    "rcm-mmd-dr",
-)
 
-COMPOSITE_METHODS = (
-    "fista",
-    "fista-restart",
-    "rcm-comp-grad",
-    "rcm-comp-kin",
-    "rcm-comp-mmd-r",
-    "rcm-comp-mmd-dr",
-)
+@dataclass(frozen=True)
+class Method:
+    """A registered method.
+
+    ``run(obj, x0, step, max_iter)`` calls the runner, looked up on its
+    module at call time; ``step`` names the step size it takes ("h" for the
+    conservative step, "s" for the gradient step).  ``needs_mu`` methods
+    read the objective's strong convexity constant, ``composite`` methods
+    run on l1-composite objectives only, and ``rosters`` lists the problems
+    whose default roster (a benchmark figure) includes the method.
+    """
+
+    run: Callable
+    step: str
+    needs_mu: bool = False
+    composite: bool = False
+    rosters: tuple = PROBLEMS
+
+
+def _rcm(criterion):
+    return Method(lambda obj, x0, h, k: disc.rcm_run(obj, x0, h, criterion, k), "h")
+
+
+def _rcm_comp(criterion):
+    return Method(lambda obj, x0, h, k: comp.rcm_comp_run(obj, x0, h, criterion, k), "h", composite=True)
+
+
+# Default rosters list methods in this order.
+METHODS = {
+    "gd": Method(lambda obj, x0, s, k: disc.gradient_descent_run(obj, x0, s, k), "s",
+                 rosters=("logistic", "logsumexp")),
+    "nag-c": Method(lambda obj, x0, s, k: disc.nag_c_run(obj, x0, s, k), "s", rosters=()),
+    "nag-sc": Method(lambda obj, x0, s, k: disc.nag_sc_run(obj, x0, s, obj.strong_convexity, k), "s",
+                     needs_mu=True, rosters=("quadratic",)),
+    "nag-sc-under": Method(lambda obj, x0, s, k: disc.nag_sc_run(obj, x0, s, obj.strong_convexity / 3.0, k), "s",
+                           needs_mu=True, rosters=("quadratic",)),
+    "nag-c-restart": Method(lambda obj, x0, s, k: disc.nag_c_restart_run(obj, x0, s, k), "s"),
+    "rcm-grad": _rcm("grad"),
+    "rcm-mmd-dr": _rcm("mmd-dr"),
+    "rcm-mmd-r": _rcm("mmd-r"),
+    "rcm-kin": _rcm("kin"),
+    "fista": Method(lambda obj, x0, s, k: comp.fista_run(obj, x0, s, k), "s", composite=True),
+    "fista-restart": Method(lambda obj, x0, s, k: comp.fista_restart_run(obj, x0, s, k), "s", composite=True),
+    "rcm-comp-grad": _rcm_comp("grad"),
+    "rcm-comp-kin": _rcm_comp("kin"),
+    "rcm-comp-mmd-r": _rcm_comp("mmd-r"),
+    "rcm-comp-mmd-dr": _rcm_comp("mmd-dr"),
+}
+
+SMOOTH_METHODS = tuple(name for name, m in METHODS.items() if not m.composite)
+COMPOSITE_METHODS = tuple(name for name, m in METHODS.items() if m.composite)
 
 # Method rosters of the benchmark figures.
 DEFAULT_METHODS = {
-    ("quadratic", False): (
-        "nag-sc",
-        "nag-sc-under",
-        "nag-c-restart",
-        "rcm-grad",
-        "rcm-mmd-dr",
-        "rcm-mmd-r",
-        "rcm-kin",
-    ),
-    ("logistic", False): ("gd", "nag-c-restart", "rcm-grad", "rcm-mmd-dr", "rcm-mmd-r", "rcm-kin"),
-    ("logsumexp", False): ("gd", "nag-c-restart", "rcm-grad", "rcm-mmd-dr", "rcm-mmd-r", "rcm-kin"),
+    (p, l1): tuple(name for name, m in METHODS.items() if m.composite == l1 and p in m.rosters)
+    for p in PROBLEMS
+    for l1 in (False, True)
 }
-for _p in PROBLEMS:
-    DEFAULT_METHODS[(_p, True)] = COMPOSITE_METHODS
 
 CSV_HEADER = "method,rep,iter,fval,gap,residual,restart"
 
@@ -78,6 +100,7 @@ __all__ = [
     "ExperimentConfig",
     "ResultRow",
     "PROBLEMS",
+    "METHODS",
     "SMOOTH_METHODS",
     "COMPOSITE_METHODS",
     "DEFAULT_METHODS",
@@ -123,9 +146,8 @@ class ExperimentConfig:
             raise ValueError("max_iter must be >= 1")
         methods = tuple(self.methods) or DEFAULT_METHODS[(self.problem, self.l1)]
         object.__setattr__(self, "methods", methods)
-        valid = COMPOSITE_METHODS if self.l1 else SMOOTH_METHODS
         for name in methods:
-            if name not in valid:
+            if name not in METHODS or METHODS[name].composite != self.l1:
                 kind = "composite" if self.l1 else "smooth"
                 raise ValueError(f"{name!r} is not a registered {kind} method")
 
@@ -175,38 +197,15 @@ def build_instance(config: ExperimentConfig, rep: int):
 
 
 def _run_method(name: str, obj, x0, config: ExperimentConfig):
-    if isinstance(obj, CompositeObjective):
-        L = obj.smooth.lipschitz
+    method = METHODS[name]
+    L = obj.smooth.lipschitz if method.composite else obj.lipschitz
+    if method.step == "h":
+        step = config.h if config.h is not None else 1.0 / np.sqrt(L)
     else:
-        L = obj.lipschitz
-    s = config.s if config.s is not None else 1.0 / L
-    h = config.h if config.h is not None else 1.0 / np.sqrt(L)
-    k = config.max_iter
-    if name == "gd":
-        return disc.gradient_descent_run(obj, x0, s, k)
-    if name == "nag-c":
-        return disc.nag_c_run(obj, x0, s, k)
-    if name == "nag-sc":
-        mu = obj.strong_convexity
-        if mu is None or mu <= 0:
-            raise ValueError("nag-sc needs a strong convexity constant")
-        return disc.nag_sc_run(obj, x0, s, mu, k)
-    if name == "nag-sc-under":
-        mu = obj.strong_convexity
-        if mu is None or mu <= 0:
-            raise ValueError("nag-sc-under needs a strong convexity constant")
-        return disc.nag_sc_run(obj, x0, s, mu / 3.0, k)
-    if name == "nag-c-restart":
-        return disc.nag_c_restart_run(obj, x0, s, k)
-    if name.startswith("rcm-comp-"):
-        return comp.rcm_comp_run(obj, x0, h, name[len("rcm-comp-"):], k)
-    if name.startswith("rcm-"):
-        return disc.rcm_run(obj, x0, h, name[len("rcm-"):], k)
-    if name == "fista":
-        return comp.fista_run(obj, x0, s, k)
-    if name == "fista-restart":
-        return comp.fista_restart_run(obj, x0, s, k)
-    raise ValueError(f"unknown method {name!r}")
+        step = config.s if config.s is not None else 1.0 / L
+    if method.needs_mu and (obj.strong_convexity is None or obj.strong_convexity <= 0):
+        raise ValueError(f"{name} needs a strong convexity constant")
+    return method.run(obj, x0, step, config.max_iter)
 
 
 def estimate_fstar(obj, x0, budget: int, s: Optional[float] = None) -> float:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from consopt.composite import fista_restart_run, fista_run, rcm_comp_run
 from consopt.discrete import (
     DivergenceError,
     gradient_descent_run,
@@ -13,6 +14,7 @@ from consopt.discrete import (
     symplectic_euler_step,
 )
 from consopt.objectives import (
+    CompositeObjective,
     gen_logistic_instance,
     gen_logsumexp_instance,
     gen_random_quadratic,
@@ -353,3 +355,28 @@ class TestNagCRestart:
         assert np.all(diffs_restarted <= 1e-10 * (1 + np.abs(restarted.fvals[:-1])))
         assert np.any(diffs_plain > 0)
         assert restarted.fvals[-1] < plain.fvals[-1]
+
+
+# Every runner, on a smooth quadratic q with L = 2 and mu = 0.5 or on its
+# l1-composite c, for five iterations from x0.
+RUNNERS = {
+    "gd": lambda q, c, x0: gradient_descent_run(q, x0, 0.1, 5),
+    "nag-c": lambda q, c, x0: nag_c_run(q, x0, 0.1, 5),
+    "nag-sc": lambda q, c, x0: nag_sc_run(q, x0, 0.1, 0.5, 5),
+    "nag-c-restart": lambda q, c, x0: nag_c_restart_run(q, x0, 0.1, 5),
+    "rcm": lambda q, c, x0: rcm_run(q, x0, 0.5, "grad", 5),
+    "fista": lambda q, c, x0: fista_run(c, x0, 0.1, 5),
+    "fista-restart": lambda q, c, x0: fista_restart_run(c, x0, 0.1, 5),
+    "rcm-comp": lambda q, c, x0: rcm_comp_run(c, x0, 0.5, "grad", 5),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("runner", sorted(RUNNERS))
+def test_nan_start_diverges_at_iteration_zero(runner):
+    q = quadratic_objective(np.diag([0.5, 1.0, 2.0]), np.ones(3))
+    c = CompositeObjective(smooth=q, l1_weight=0.1)
+    with pytest.raises(DivergenceError, match="at iteration 0 ") as info:
+        RUNNERS[runner](q, c, np.full(3, np.nan))
+    assert len(info.value.partial_trace) == 1
+    assert info.value.partial_trace.final_state.iter == 0

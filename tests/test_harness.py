@@ -1,11 +1,14 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from consopt.harness import (
+    METHODS,
+    PROBLEMS,
     ExperimentConfig,
     build_instance,
     estimate_fstar,
@@ -77,6 +80,23 @@ class TestRunExperiment:
         seq = run_experiment(cfg, parallel=False)
         par = run_experiment(cfg, parallel=True)
         assert seq == par
+
+    @pytest.mark.parametrize("l1", [False, True])
+    @pytest.mark.parametrize("problem", PROBLEMS)
+    def test_every_registered_method_runs(self, problem, l1):
+        cfg = ExperimentConfig(problem=problem, l1=l1, n=6, m=15, reps=1, max_iter=8)
+        smooth, _ = build_instance(ExperimentConfig(problem=problem, n=6, m=15), 0)
+        has_mu = (smooth.strong_convexity or 0.0) > 0.0
+        for name, method in METHODS.items():
+            if method.composite != l1:
+                continue
+            if method.needs_mu and not has_mu:
+                with pytest.raises(ValueError, match="strong convexity"):
+                    run_experiment(replace(cfg, methods=(name,)))
+                continue
+            rows = run_experiment(replace(cfg, methods=(name,)))
+            assert [r.iter for r in rows] == list(range(cfg.max_iter + 1)), name
+            assert all(np.isfinite([r.fval, r.gap, r.residual]).all() for r in rows), name
 
     def test_composite_rows(self):
         cfg = ExperimentConfig(problem="quadratic", l1=True, n=10, reps=1, max_iter=50,
@@ -167,14 +187,16 @@ class TestCli:
                          "--restarts", "2"]) == 0
 
     def test_unknown_flag_exits_2(self):
-        with pytest.raises(SystemExit) as info:
-            cli_main(["bench", "quadratic", "--bogus"])
-        assert info.value.code == 2
+        for extra in (["--bogus"], ["--methods", "sgd"], ["--methods", "fista"]):
+            with pytest.raises(SystemExit) as info:
+                cli_main(["bench", "quadratic", *extra])
+            assert info.value.code == 2
 
     def test_unknown_subcommand_exits_2(self):
-        with pytest.raises(SystemExit) as info:
-            cli_main(["frobnicate"])
-        assert info.value.code == 2
+        for command in ("frobnicate", "verify"):
+            with pytest.raises(SystemExit) as info:
+                cli_main([command])
+            assert info.value.code == 2
 
     def test_console_entry_point(self):
         proc = subprocess.run(
