@@ -10,11 +10,9 @@ reproduces its smooth counterpart exactly.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from .discrete import Trace, _Recorder, _check_rcm_args, should_restart
+from .discrete import Trace, _Recorder, _check_rcm_args, _check_step, should_restart
 from .objectives import CompositeObjective, minimal_norm_subgradient
 
 Array = np.ndarray
@@ -99,10 +97,14 @@ def rcm_comp_run(
         fire = k - l >= 1 and should_restart(criterion, v, v_trial, d_trial, k, l)
         if fire:
             x_new = x - (h * h) * d
-            v_new = -h * d if restart_grad_at == "old" else -h * sub(x_new)
+            if restart_grad_at == "old":
+                v_new, d_new = -h * d, None
+            else:
+                d_new = sub(x_new)
+                v_new = -h * d_new
             l = k
         else:
-            x_new, v_new = x_trial, v_trial
+            x_new, v_new, d_new = x_trial, v_trial, d_trial
         crossed = False
         if has_kink:
             x_new, crossed = sign_crossing_projection(x, x_new)
@@ -110,7 +112,8 @@ def rcm_comp_run(
                 v_new = np.zeros_like(v_new)
                 l = k + 1
         x, v = x_new, v_new
-        d = sub(x)
+        # Without a crossing, x is the point d_new was evaluated at.
+        d = sub(x) if d_new is None or crossed else d_new
         rec.add(k + 1, f.value(x), float(np.linalg.norm(d)), fire, x, v, l, crossed)
 
     return rec.trace(x, v, l)
@@ -136,12 +139,15 @@ def fista_restart_run(f: CompositeObjective, x0, s: float, max_iter: int, keep_i
 
 
 def _fista(f, x0, s, max_iter, restart, keep_iterates):
-    if s <= 0:
-        raise ValueError("s must be positive")
-    L = f.smooth.lipschitz
-    if s > 1.0 / L:
-        warnings.warn(f"s = {s:g} exceeds 1/L = {1.0 / L:g}", stacklevel=3)
+    """The FISTA loop, with or without the adaptive restart.
+
+    Once a prox step returns its previous iterate from a y equal to that
+    iterate (compared by value), the restart test cannot fire and every
+    later iteration repeats it exactly, so the remaining rows are written
+    as copies of the last one without further oracle calls.
+    """
     method = "fista-restart" if restart else "fista"
+    _check_step(s, f.smooth.lipschitz, method, stacklevel=4)
     grad_g = f.smooth.gradient
     tau = s * f.l1_weight
 
@@ -153,17 +159,23 @@ def _fista(f, x0, s, max_iter, restart, keep_iterates):
     rec.add(0, f.value(x), float(np.linalg.norm(d0)), False, x, crossed=False)
 
     for k in range(max_iter):
-        x_prev = x
+        x_prev, y_prev = x, y
         x = prox_l1(y - s * grad_g(y), tau)
-        fire = restart and float((y - x) @ (x - x_prev)) > 0.0
+        dx = x - x_prev
+        fire = restart and float((y - x) @ dx) > 0.0
         if fire:
             t = 1.0
             y = x
         else:
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            y = x + ((t - 1.0) / t_next) * (x - x_prev)
+            y = x + ((t - 1.0) / t_next) * dx
             t = t_next
         d = minimal_norm_subgradient(f, x)
         rec.add(k + 1, f.value(x), float(np.linalg.norm(d)), fire, x, crossed=False)
+        # A fixed state repeats f; comparing f first keeps the array tests
+        # off nearly every other iteration.
+        if rec.fvals[-1] == rec.fvals[-2] and not dx.any() and np.array_equal(y_prev, x_prev):
+            rec.fill(max_iter)
+            break
 
     return rec.trace(x)

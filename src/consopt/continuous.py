@@ -175,16 +175,17 @@ def _refine_event(grad, make_test, is_after, node_a, node_b, reltol):
 # -- integration ---------------------------------------------------------------
 
 
-def _verlet(grad, x0, v0, dt: float, n_steps: int):
+def _verlet(grad, x0, v0, dt: float, n_steps: int, g0=None):
     """Stormer-Verlet nodes of x'' = -grad f(x) from (x0, v0).
 
     Yields (i, t, x, v, g, a) at node 0 and after each of ``n_steps`` steps
-    of size ``dt``, with t = i dt, g = grad f(x) and a = -g.  Raises on the
-    first non-finite state.
+    of size ``dt``, with t = i dt, g = grad f(x) and a = -g.  ``g0``, when
+    given, is grad f(x0) already known to the caller.  Raises on the first
+    non-finite state.
     """
     x = np.array(x0, dtype=float)
     v = np.array(v0, dtype=float)
-    g = grad(x)
+    g = grad(x) if g0 is None else g0
     a = -g
     yield 0, 0.0, x, v, g, a
     for i in range(1, n_steps + 1):
@@ -277,8 +278,9 @@ def _kin_test(t, x, v, g):
     return float(g @ v)
 
 
-def _scan_from_rest(obj, x0, dt, cap, mode, reltol, record_stride=None):
-    """Integrate from rest scanning for the restart event of ``mode``.
+def _scan_from_rest(obj, x0, g0, dt, cap, mode, reltol, record_stride=None):
+    """Integrate from rest at x0, where grad f is ``g0``, scanning for the
+    restart event of ``mode``.
 
     Returns (event_state or None, arc_length, samples) where event_state is
     (t, x, v, g) refined by bisection, arc_length is the curve length up to
@@ -297,7 +299,7 @@ def _scan_from_rest(obj, x0, dt, cap, mode, reltol, record_stride=None):
     armed = False  # kinetic mode: becomes true once dE_K/dt > 0 was seen
     prev, prev_speed = None, 0.0
     samples = []
-    for i, t, x, v, g, a in _verlet(grad, x0, np.zeros_like(x0), dt, int(np.ceil(cap / dt))):
+    for i, t, x, v, g, a in _verlet(grad, x0, np.zeros_like(x0), dt, int(np.ceil(cap / dt)), g0):
         speed = float(np.linalg.norm(v))
         q = float(g @ v)  # -dE_K/dt
         if mode == "mmd":
@@ -333,7 +335,7 @@ def _event_from_state(obj, state, arc, t_offset=0.0) -> RestartEvent:
     )
 
 
-def _mmd_cap(obj, x0, dt, cap, f_star):
+def _mmd_cap(obj, x0, dt, cap, f_star, g0):
     if cap is not None:
         return cap
     mu = obj.strong_convexity
@@ -344,13 +346,14 @@ def _mmd_cap(obj, x0, dt, cap, f_star):
             "objective has no strong convexity constant: pass f_star (for the "
             "coercive-function cap) or an explicit cap"
         )
-    # Bootstrap the finite-restart cap from a short burst of integration.
-    t1 = 16.0 * dt
-    traj = integrate_conservative(obj, x0, np.zeros_like(np.asarray(x0, float)), dt, t1)
-    ek1 = 0.5 * float(traj.vs[-1] @ traj.vs[-1])
+    # Bootstrap the finite-restart cap from 16 Verlet steps from rest, whose
+    # first gradient g0 = grad f(x0) the caller already has.
+    for _, t1, _, v1, _, _ in _verlet(obj.gradient, x0, np.zeros_like(g0), dt, 16, g0):
+        pass
+    ek1 = 0.5 * float(v1 @ v1)
     if ek1 <= 0.0:
         raise RuntimeError("kinetic energy vanished during the cap bootstrap")
-    return finite_restart_cap(obj, x0, float(traj.times[-1]), ek1, f_star)
+    return finite_restart_cap(obj, x0, t1, ek1, f_star)
 
 
 def _first_event(obj, x0, dt, cap, f_star, mode, reltol):
@@ -362,8 +365,8 @@ def _first_event(obj, x0, dt, cap, f_star, mode, reltol):
         raise ValueError("grad f(x0) = 0: the flow from rest is stationary")
     if dt is None:
         dt = default_time_step(obj)
-    cap = _mmd_cap(obj, x0, dt, cap, f_star)
-    state, arc, _ = _scan_from_rest(obj, x0, dt, cap, mode, reltol)
+    cap = _mmd_cap(obj, x0, dt, cap, f_star, g0)
+    state, arc, _ = _scan_from_rest(obj, x0, g0, dt, cap, mode, reltol)
     return (None if state is None else _event_from_state(obj, state, arc)), cap
 
 
@@ -491,13 +494,13 @@ def run_piecewise_conservative(
     f_prev = obj.value(x0)
     sample_gaps = []  # (t_abs, f - reference) pairs when f_star known
 
+    g = g0  # grad f(x) at the current segment start
     for seg in range(n_restarts):
-        g = obj.gradient(x)
         if float(np.linalg.norm(g)) <= grad_floor:
             break
-        seg_cap = _mmd_cap(obj, x, dt, cap, f_star)
+        seg_cap = _mmd_cap(obj, x, dt, cap, f_star, g)
         stride = record_every or 8
-        state, arc, samples = _scan_from_rest(obj, x, dt, seg_cap, "mmd", reltol, record_stride=stride)
+        state, arc, samples = _scan_from_rest(obj, x, g, dt, seg_cap, "mmd", reltol, record_stride=stride)
         if state is None:
             raise RuntimeError(f"segment {seg}: no restart within the cap {seg_cap:g}")
         event = _event_from_state(obj, state, arc, t_offset=t_abs)
@@ -555,7 +558,7 @@ def run_piecewise_conservative(
                     )
                 )
         f_prev = f_now
-        x = event.x
+        x, g = event.x, state[3]
 
     times = np.asarray(times)
     xs = np.asarray(xs)

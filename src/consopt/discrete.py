@@ -135,6 +135,23 @@ class _Recorder:
                 partial_trace=self.trace(x, v, l),
             )
 
+    def fill(self, max_iter):
+        """Repeat the last row for every iteration up to ``max_iter``, for a
+        run whose state no longer changes: same value, residual, restart
+        origin and iterates, no restart and no crossing."""
+        n = max_iter - self.iters[-1]
+        self.iters.extend(range(self.iters[-1] + 1, max_iter + 1))
+        self.fvals.extend([self.fvals[-1]] * n)
+        self.residuals.extend([self.residuals[-1]] * n)
+        self.restarts.extend([False] * n)
+        if self.origins:
+            self.origins.extend([self.origins[-1]] * n)
+        if self.crossings:
+            self.crossings.extend([False] * n)
+        if self.xs is not None:
+            self.xs.extend([self.xs[-1]] * n)
+            self.vs.extend([self.vs[-1]] * n)
+
     def trace(self, x, v=None, l=None):
         """The rows so far, ending in state (x, v) with last restart l;
         runners without a velocity or restart index report zeros."""
@@ -283,16 +300,23 @@ def gradient_descent_run(obj: SmoothObjective, x0, s: float, max_iter: int, keep
     return rec.trace(x)
 
 
-def _check_step(s, L, who):
+def _check_step(s, L, who, stacklevel=3):
+    """Reject a nonpositive gradient step and warn, at the runner's caller,
+    about one above 1/L."""
     if s <= 0:
         raise ValueError("s must be positive")
     if s > 1.0 / L:
-        warnings.warn(f"{who}: s = {s:g} exceeds 1/L = {1.0 / L:g}", stacklevel=3)
+        warnings.warn(f"{who}: s = {s:g} exceeds 1/L = {1.0 / L:g}", stacklevel=stacklevel)
 
 
 def _momentum_run(obj, x0, s, momentum, max_iter, keep_iterates, method):
     """Nesterov's loop y_{k+1} = x_k - s grad f(x_k),
-    x_{k+1} = y_{k+1} + momentum(k) (y_{k+1} - y_k), from y_0 = x_0."""
+    x_{k+1} = y_{k+1} + momentum(k) (y_{k+1} - y_k), from y_0 = x_0.
+
+    Once an iteration leaves both x and y unchanged (compared by value),
+    every later iteration repeats it exactly, so the remaining rows are
+    written as copies of the last one without further oracle calls.
+    """
     grad, fval = obj.gradient, obj.value
     x = np.array(x0, dtype=float)
     y = x.copy()
@@ -300,11 +324,18 @@ def _momentum_run(obj, x0, s, momentum, max_iter, keep_iterates, method):
     rec = _Recorder(method, s, keep_iterates)
     rec.add(0, fval(x), float(np.linalg.norm(g)), False, x)
     for k in range(max_iter):
+        x_old = x
         y_new = x - s * g
-        x = y_new + momentum(k) * (y_new - y)
+        dy = y_new - y
+        x = y_new + momentum(k) * dy
         y = y_new
         g = grad(x)
         rec.add(k + 1, fval(x), float(np.linalg.norm(g)), False, x)
+        # A fixed state repeats f; comparing f first keeps the array tests
+        # off nearly every other iteration.
+        if rec.fvals[-1] == rec.fvals[-2] and not dy.any() and np.array_equal(x, x_old):
+            rec.fill(max_iter)
+            break
     return rec.trace(x)
 
 
@@ -337,6 +368,11 @@ def nag_c_restart_run(obj: SmoothObjective, x0, s: float, max_iter: int, keep_it
     momentum counter is reset to zero and the iterate is set back to the
     plain gradient-step point y_{k+1} (which keeps every recorded iteration
     at least as good as a gradient step).
+
+    Once an iteration leaves both x and y unchanged (compared by value), it
+    cannot restart and every later iteration repeats it exactly, so the
+    remaining rows are written as copies of the last one without further
+    oracle calls.
     """
     _check_step(s, obj.lipschitz, "nag-c-restart")
     grad, fval = obj.gradient, obj.value
@@ -347,11 +383,13 @@ def nag_c_restart_run(obj: SmoothObjective, x0, s: float, max_iter: int, keep_it
     rec = _Recorder("nag-c-restart", s, keep_iterates)
     rec.add(0, fval(x), float(np.linalg.norm(g)), False, x)
     for k in range(max_iter):
+        x_old = x
         beta = j / (j + 3.0)
         y_new = x - s * g
-        x_cand = y_new + beta * (y_new - y)
+        dy = y_new - y
+        x_cand = y_new + beta * dy
         g_cand = grad(x_cand)
-        fire = float(g_cand @ (y_new - y)) > 0.0
+        fire = float(g_cand @ dy) > 0.0
         if fire:
             x = y_new
             g = g_cand if beta == 0.0 else grad(x)
@@ -362,4 +400,9 @@ def nag_c_restart_run(obj: SmoothObjective, x0, s: float, max_iter: int, keep_it
             j += 1
         y = y_new
         rec.add(k + 1, fval(x), float(np.linalg.norm(g)), fire, x)
+        # A fixed state repeats f; comparing f first keeps the array tests
+        # off nearly every other iteration.
+        if rec.fvals[-1] == rec.fvals[-2] and not dy.any() and np.array_equal(x, x_old):
+            rec.fill(max_iter)
+            break
     return rec.trace(x)

@@ -42,9 +42,10 @@ class Method:
     ``run(obj, x0, step, max_iter)`` calls the runner, looked up on its
     module at call time; ``step`` names the step size it takes ("h" for the
     conservative step, "s" for the gradient step).  ``needs_mu`` methods
-    read the objective's strong convexity constant, ``composite`` methods
-    run on l1-composite objectives only, and ``rosters`` lists the problems
-    whose default roster (a benchmark figure) includes the method.
+    read the objective's strong convexity constant, which only quadratic
+    problems carry; ``composite`` methods run on l1-composite objectives
+    only, and ``rosters`` lists the problems whose default roster (a
+    benchmark figure) includes the method.
     """
 
     run: Callable
@@ -150,6 +151,8 @@ class ExperimentConfig:
             if name not in METHODS or METHODS[name].composite != self.l1:
                 kind = "composite" if self.l1 else "smooth"
                 raise ValueError(f"{name!r} is not a registered {kind} method")
+            if METHODS[name].needs_mu and self.problem != "quadratic":
+                raise ValueError(f"{name!r} needs a strong convexity constant, which {self.problem} lacks")
 
 
 @dataclass(frozen=True)
@@ -203,8 +206,6 @@ def _run_method(name: str, obj, x0, config: ExperimentConfig):
         step = config.h if config.h is not None else 1.0 / np.sqrt(L)
     else:
         step = config.s if config.s is not None else 1.0 / L
-    if method.needs_mu and (obj.strong_convexity is None or obj.strong_convexity <= 0):
-        raise ValueError(f"{name} needs a strong convexity constant")
     return method.run(obj, x0, step, config.max_iter)
 
 
@@ -215,7 +216,9 @@ def estimate_fstar(obj, x0, budget: int, s: Optional[float] = None) -> float:
     squares fallback plus one iterative refinement step if the solve fails).
     Everything else takes the minimum value along a restarted reference run
     (NAG-C-restart for smooth problems, FISTA-restart for composites) of ten
-    times the experiment budget.
+    times the experiment budget.  A reference run that reaches an exact
+    fixed point writes its remaining rows as copies of the last one, without
+    oracle calls, so it costs only the iterations up to that point.
     """
     if isinstance(obj, QuadraticObjective):
         try:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -257,6 +259,31 @@ class TestPiecewise:
             lhs = seg["f_end"] - res.fun
             rhs = (seg["f_start"] - res.fun) / (1 + mu / L)
             assert lhs <= rhs + 1e-7 * abs(rhs)
+
+
+    @pytest.mark.parametrize("cap_from", ["mu", "f_star"])
+    def test_no_gradient_repeated_at_a_segment_start(self, cap_from):
+        # Each segment start's gradient feeds the stationarity check, the cap
+        # bootstrap and the Verlet scan; none of them evaluates it again.
+        if cap_from == "mu":
+            obj, f_star = quadratic_objective(np.diag([1.0, 3.0]), np.zeros(2)), None
+            x0 = np.array([1.0, -0.5])
+        else:
+            M, c = gen_logsumexp_instance(4, 12, 21)
+            obj, x0 = logsumexp_objective(M, c, 1.0), np.ones(4)
+            from scipy.optimize import minimize
+
+            f_star = minimize(obj.value, x0, jac=obj.gradient, method="L-BFGS-B", tol=1e-12).fun
+        points = []
+
+        def gradient(x, inner=obj.gradient):
+            points.append(np.array(x))
+            return inner(x)
+
+        counted = replace(obj, gradient=gradient)
+        result = run_piecewise_conservative(counted, x0, dt=0.01, n_restarts=3, f_star=f_star)
+        assert len(result.segments) == 3
+        assert not any(np.array_equal(a, b) for a, b in zip(points, points[1:]))
 
 
 class TestVisitingTime:

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from consopt.composite import fista_restart_run, fista_run, rcm_comp_run
+from consopt.composite import fista_restart_run, fista_run, prox_l1, rcm_comp_run
 from consopt.discrete import (
     DivergenceError,
     gradient_descent_run,
@@ -18,8 +20,10 @@ from consopt.objectives import (
     gen_logistic_instance,
     gen_logsumexp_instance,
     gen_random_quadratic,
+    l1_weight_rule,
     logistic_objective,
     logsumexp_objective,
+    minimal_norm_subgradient,
     quadratic_objective,
 )
 
@@ -380,3 +384,91 @@ def test_nan_start_diverges_at_iteration_zero(runner):
         RUNNERS[runner](q, c, np.full(3, np.nan))
     assert len(info.value.partial_trace) == 1
     assert info.value.partial_trace.final_state.iter == 0
+
+
+def _plain_fista(f, x0, s, max_iter, restart):
+    """FISTA written out in full: rows of (f, residual, restart, x)."""
+    x = np.array(x0, dtype=float)
+    y, t = x.copy(), 1.0
+    rows = [(f.value(x), np.linalg.norm(minimal_norm_subgradient(f, x)), False, x)]
+    for _ in range(max_iter):
+        x_prev = x
+        x = prox_l1(y - s * f.smooth.gradient(y), s * f.l1_weight)
+        fire = restart and float((y - x) @ (x - x_prev)) > 0.0
+        if fire:
+            t, y = 1.0, x
+        else:
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            y = x + ((t - 1.0) / t_next) * (x - x_prev)
+            t = t_next
+        rows.append((f.value(x), np.linalg.norm(minimal_norm_subgradient(f, x)), fire, x))
+    return rows
+
+
+def _plain_nag(obj, x0, s, max_iter, beta=None):
+    """NAG-SC with momentum ``beta``, or NAG-C-restart when ``beta`` is
+    None, written out in full: rows of (f, residual, restart, x)."""
+    x = np.array(x0, dtype=float)
+    y, g, j = x.copy(), obj.gradient(x), 0
+    rows = [(obj.value(x), np.linalg.norm(g), False, x)]
+    for _ in range(max_iter):
+        b = j / (j + 3.0) if beta is None else beta
+        y_new = x - s * g
+        x_cand = y_new + b * (y_new - y)
+        g_cand = obj.gradient(x_cand)
+        fire = beta is None and float(g_cand @ (y_new - y)) > 0.0
+        if fire:
+            x, g, j = y_new, g_cand if b == 0.0 else obj.gradient(y_new), 0
+        else:
+            x, g, j = x_cand, g_cand, j + 1
+        y = y_new
+        rows.append((obj.value(x), np.linalg.norm(g), fire, x))
+    return rows
+
+
+def _counted(smooth):
+    """``smooth`` with a gradient that counts its calls in ``calls[0]``."""
+    calls = [0]
+
+    def gradient(x, inner=smooth.gradient):
+        calls[0] += 1
+        return inner(x)
+
+    return replace(smooth, gradient=gradient), calls
+
+
+@pytest.mark.parametrize("method", ["fista", "fista-restart", "nag-c-restart", "nag-sc"])
+def test_fixed_point_rows_are_copies_made_without_oracle_calls(method):
+    # Each instance reaches an exact floating-point fixed point well before
+    # max_iter; the runner then stops calling the oracle, and its rows,
+    # iterates and final state still match the loop run to the end.
+    if method.startswith("fista"):
+        A, y, _ = gen_logistic_instance(8, 30, 0)
+        smooth = logistic_objective(A, y)
+        gamma = l1_weight_rule("logistic", smooth.gradient(np.zeros(8)))
+        f = CompositeObjective(smooth=smooth, l1_weight=gamma)
+        x0, s, max_iter = np.zeros(8), 1.0 / smooth.lipschitz, 2000
+        counted, calls = _counted(smooth)
+        run = fista_restart_run if method == "fista-restart" else fista_run
+        trace = run(replace(f, smooth=counted), x0, s, max_iter, keep_iterates=True)
+        rows = _plain_fista(f, x0, s, max_iter, restart=method == "fista-restart")
+    else:
+        obj = gen_random_quadratic(6, 0.5, 2.0, 2)
+        x0 = np.random.default_rng([2, 1]).standard_normal(6)
+        s, mu, max_iter = 1.0 / obj.lipschitz, obj.strong_convexity, 500
+        counted, calls = _counted(obj)
+        if method == "nag-sc":
+            trace = nag_sc_run(counted, x0, s, mu, max_iter, keep_iterates=True)
+            rows = _plain_nag(obj, x0, s, max_iter, (1.0 - np.sqrt(mu * s)) / (1.0 + np.sqrt(mu * s)))
+        else:
+            trace = nag_c_restart_run(counted, x0, s, max_iter, keep_iterates=True)
+            rows = _plain_nag(obj, x0, s, max_iter)
+    fvals, residuals, restarts, xs = zip(*rows)
+    assert np.array_equal(trace.iters, np.arange(max_iter + 1))
+    assert trace.fvals.tobytes() == np.array(fvals).tobytes()
+    assert trace.residuals.tobytes() == np.array(residuals).tobytes()
+    assert np.array_equal(trace.restarts, restarts)
+    assert trace.xs.tobytes() == np.array(xs).tobytes()
+    assert trace.final_state.x.tobytes() == xs[-1].tobytes()
+    assert trace.final_state.iter == max_iter
+    assert calls[0] < max_iter

@@ -187,9 +187,10 @@ class TestCli:
                          "--restarts", "2"]) == 0
 
     def test_unknown_flag_exits_2(self):
-        for extra in (["--bogus"], ["--methods", "sgd"], ["--methods", "fista"]):
+        for args in (["quadratic", "--bogus"], ["quadratic", "--methods", "sgd"],
+                     ["quadratic", "--methods", "fista"], ["logistic", "--methods", "nag-sc"]):
             with pytest.raises(SystemExit) as info:
-                cli_main(["bench", "quadratic", *extra])
+                cli_main(["bench", *args])
             assert info.value.code == 2
 
     def test_unknown_subcommand_exits_2(self):
