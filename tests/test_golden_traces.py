@@ -1,27 +1,30 @@
 """Bit-identity pins for the runners, the harness and the Verlet flow.
 
 Each case hashes exact output bytes on fixed seeds: the CSV that
-``write_csv`` writes for a small family, the raw arrays of an integrated
-trajectory, and the floats of restart events and bound reports.  A change
-that alters any trace by even one ulp changes a digest.  When a change is
-meant to alter traces, the new digests go in with an explanation of the
-difference in CHANGES.md.
+``write_csv`` writes for a small family, every column of the restart
+loops' traces, the raw arrays of an integrated trajectory, and the floats
+of restart events and bound reports.  A change that alters any trace by
+even one ulp changes a digest.  When a change is meant to alter traces,
+the new digests go in with an explanation of the difference in CHANGES.md.
 """
 
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from consopt.composite import rcm_comp_run
 from consopt.continuous import (
     integrate_conservative,
     kinetic_energy_maxima,
     kinetic_max_restart_time,
     run_piecewise_conservative,
 )
-from consopt.harness import ExperimentConfig, run_experiment, write_csv
-from consopt.objectives import gen_random_quadratic, quadratic_objective
+from consopt.discrete import RESTART_CRITERIA, DivergenceError, rcm_run
+from consopt.harness import ExperimentConfig, build_instance, run_experiment, write_csv
+from consopt.objectives import CompositeObjective, gen_random_quadratic, quadratic_objective
 
 SMOOTH = ("gd", "nag-c", "nag-c-restart", "rcm-grad", "rcm-kin", "rcm-mmd-r", "rcm-mmd-dr")
 NEEDS_MU = ("nag-sc", "nag-sc-under")
@@ -37,6 +40,7 @@ GOLDEN = {
     "integrate-conservative": "e88c19747ea44466a9c59cd8fac2b429f901ede9e8e15a9dcd8e077e304ac2fd",
     "kinetic-energy-maxima": "527551dca9a6f133e9531d9d65bb7ecd59bf6394599d98ed04d66f47bf3989e1",
     "piecewise-conservative": "c3faacf103d042b95f30aa69631f6bcdf0e5863c10377b8b3dd6eb638296a627",
+    "rcm-traces": "d713a93cf5ee4616267b47ee723ee1a61b875e3b7889ee47da8fe6c8c784a763",
 }
 
 
@@ -65,6 +69,41 @@ def _integrate_conservative():
     obj, x0 = _quadratic(5, 11)
     traj = integrate_conservative(obj, x0, 0.3 * x0[::-1], 0.01, 3.0, record_every=7)
     return _sha(traj.times, traj.xs, traj.vs, np.float64(traj.energy_drift))
+
+
+def _trace_bytes(trace):
+    """Every column of a Trace, with a marker for the absent ones."""
+    chunks = [trace.method.encode(), np.float64(trace.step)]
+    for col in ("iters", "fvals", "residuals", "restarts", "restart_origin", "crossings", "xs", "vs"):
+        a = getattr(trace, col)
+        chunks += [col.encode(), b"none"] if a is None else [col.encode(), str(a.dtype).encode(), np.array(a.shape), a]
+    s = trace.final_state
+    return chunks + [s.x, s.v, np.array([s.iter, s.last_restart])]
+
+
+def _rcm_traces():
+    quad, x0 = _quadratic(6, 7)
+    h = 1.0 / np.sqrt(quad.lipschitz)
+    logistic, z0 = build_instance(ExperimentConfig(problem="logistic", l1=True, n=10, m=30, base_seed=0), 0)
+    hl = 1.0 / np.sqrt(logistic.smooth.lipschitz)
+    traces = []
+    for criterion in RESTART_CRITERIA:
+        traces.append(rcm_run(quad, x0, h, criterion, 80, keep_iterates=True))
+        traces.append(rcm_comp_run(CompositeObjective(smooth=quad, l1_weight=0.0), x0, h, criterion, 80,
+                                   keep_iterates=True))
+        traces.append(rcm_comp_run(logistic, z0, hl, criterion, 120, keep_iterates=True))
+    # The pins must see restarts and crossings, not only plain steps.
+    assert all(t.restarts.any() for t in traces)
+    assert all(t.crossings.any() for t in traces[2::3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(DivergenceError) as smooth_info:
+            rcm_run(quad, x0, 3.0 * h, "kin", 500, keep_iterates=True)
+        with pytest.raises(DivergenceError) as comp_info:
+            rcm_comp_run(CompositeObjective(smooth=quad, l1_weight=0.05), x0, 3.0 * h, "kin", 500,
+                         keep_iterates=True)
+    traces += [smooth_info.value.partial_trace, comp_info.value.partial_trace]
+    return _sha(*[c for t in traces for c in _trace_bytes(t)])
 
 
 def _event_bytes(events):
@@ -101,5 +140,6 @@ def test_golden_digest(name, tmp_path):
             "integrate-conservative": _integrate_conservative,
             "kinetic-energy-maxima": _kinetic_energy_maxima,
             "piecewise-conservative": _piecewise_conservative,
+            "rcm-traces": _rcm_traces,
         }[name]()
     assert digest == GOLDEN[name]
