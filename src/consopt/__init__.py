@@ -44,7 +44,6 @@ from .discrete import (
     symplectic_euler_step,
 )
 from .composite import (
-    CompositeTrace,
     fista_restart_run,
     fista_run,
     prox_l1,

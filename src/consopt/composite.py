@@ -12,16 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .discrete import Trace, _Recorder, _check_rcm_args, _check_step, should_restart
+from .discrete import Trace, _check_step, _rcm_loop, _Recorder
+# Kept importable from here; rcm_comp_run calls it through discrete._rcm_loop.
+from .discrete import should_restart  # noqa: F401
 from .objectives import CompositeObjective, minimal_norm_subgradient
 
 Array = np.ndarray
 
-# Composite runs record into the shared Trace, with the crossings column set.
-CompositeTrace = Trace
-
 __all__ = [
-    "CompositeTrace",
     "prox_l1",
     "sign_crossing_projection",
     "rcm_comp_run",
@@ -56,70 +54,27 @@ def sign_crossing_projection(x_old: Array, x_new: Array):
     return x_new, crossed
 
 
-def rcm_comp_run(
-    f: CompositeObjective,
-    x0,
-    h: float,
-    criterion: str,
-    max_iter: int,
-    restart_grad_at: str = "new",
-    keep_iterates: bool = False,
-) -> CompositeTrace:
+def rcm_comp_run(f: CompositeObjective, x0, h: float, criterion: str, max_iter: int,
+                 keep_iterates: bool = False) -> Trace:
     """Conservative restart method on g + gamma ||.||_1.
 
-    The smooth loop with grad f replaced by the minimal-norm subgradient:
-    trial step, restart test, then the sign-crossing projection with a full
-    velocity reset whenever any coordinate crossed zero.  A crossing also
-    resets the mean-dissipation reference index l, since a forced velocity
-    zeroing invalidates the kinetic-energy comparison across it.
+    The same loop as ``discrete.rcm_run`` on the minimal-norm subgradient
+    instead of grad f, followed at every iteration by the sign-crossing
+    projection with a full velocity reset whenever any coordinate crossed
+    zero.  A crossing also resets the mean-dissipation reference index l,
+    since a forced velocity zeroing invalidates the kinetic-energy
+    comparison across it.
 
-    With ``l1_weight == 0`` the non-differentiability set is empty, the
-    crossing projection never applies, and the trace is identical to the
-    smooth run on ``f.smooth``.
+    With ``l1_weight == 0`` the non-differentiability set is empty, nothing
+    is projected, and the trace equals the smooth run on ``f.smooth`` plus
+    a ``crossings`` column of False.
     """
-    _check_rcm_args(criterion, restart_grad_at, h, f.smooth.lipschitz)
-    sub = lambda x: minimal_norm_subgradient(f, x)
-    needs_trial_sub = criterion in ("grad", "mmd-dr")
-    has_kink = f.l1_weight > 0.0
-    method = f"rcm-comp-{criterion}"
-
-    x = np.array(x0, dtype=float)
-    v = np.zeros_like(x)
-    d = sub(x)
-    l = 0
-    rec = _Recorder(method, h, keep_iterates)
-    rec.add(0, f.value(x), float(np.linalg.norm(d)), False, x, v, l, crossed=False)
-
-    for k in range(max_iter):
-        v_trial = v - h * d
-        x_trial = x + h * v_trial
-        d_trial = sub(x_trial) if needs_trial_sub else None
-        fire = k - l >= 1 and should_restart(criterion, v, v_trial, d_trial, k, l)
-        if fire:
-            x_new = x - (h * h) * d
-            if restart_grad_at == "old":
-                v_new, d_new = -h * d, None
-            else:
-                d_new = sub(x_new)
-                v_new = -h * d_new
-            l = k
-        else:
-            x_new, v_new, d_new = x_trial, v_trial, d_trial
-        crossed = False
-        if has_kink:
-            x_new, crossed = sign_crossing_projection(x, x_new)
-            if crossed:
-                v_new = np.zeros_like(v_new)
-                l = k + 1
-        x, v = x_new, v_new
-        # Without a crossing, x is the point d_new was evaluated at.
-        d = sub(x) if d_new is None or crossed else d_new
-        rec.add(k + 1, f.value(x), float(np.linalg.norm(d)), fire, x, v, l, crossed)
-
-    return rec.trace(x, v, l)
+    project = sign_crossing_projection if f.l1_weight > 0.0 else lambda x_old, x_new: (x_new, False)
+    return _rcm_loop(f.value, lambda x: minimal_norm_subgradient(f, x), f.smooth.lipschitz, x0, h, criterion,
+                     max_iter, keep_iterates, f"rcm-comp-{criterion}", project)
 
 
-def fista_run(f: CompositeObjective, x0, s: float, max_iter: int, keep_iterates: bool = False) -> CompositeTrace:
+def fista_run(f: CompositeObjective, x0, s: float, max_iter: int, keep_iterates: bool = False) -> Trace:
     """FISTA: proximal gradient steps with the t-sequence momentum.
 
     x_k = prox(y_k - s grad g(y_k), s gamma), t_{k+1} = (1 + sqrt(1+4t_k^2))/2,
@@ -129,7 +84,7 @@ def fista_run(f: CompositeObjective, x0, s: float, max_iter: int, keep_iterates:
     return _fista(f, x0, s, max_iter, restart=False, keep_iterates=keep_iterates)
 
 
-def fista_restart_run(f: CompositeObjective, x0, s: float, max_iter: int, keep_iterates: bool = False) -> CompositeTrace:
+def fista_restart_run(f: CompositeObjective, x0, s: float, max_iter: int, keep_iterates: bool = False) -> Trace:
     """FISTA with the adaptive gradient restart.
 
     When (y_k - x_k) . (x_k - x_{k-1}) > 0 the momentum is discarded:

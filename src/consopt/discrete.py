@@ -210,12 +210,19 @@ def should_restart(criterion: str, v: Array, v_new: Array, grad_at_xnew, k: int,
     raise ValueError(f"unknown restart criterion {criterion!r}; expected one of {RESTART_CRITERIA}")
 
 
-def _check_rcm_args(criterion, restart_grad_at, h, L):
-    """Argument checks shared by the smooth and composite restart loops."""
+def _rcm_loop(value, oracle, L, x0, h, criterion, max_iter, keep_iterates, method, project=None):
+    """The conservative evolution-restart loop behind ``rcm_run`` and
+    ``rcm_comp_run``.
+
+    ``oracle`` is the gradient, or the minimal-norm subgradient, and ``L``
+    the Lipschitz constant of its smooth part; a step outside h < sqrt(2/L)
+    warns at the runner's caller.  ``project(x_old, x_new)``, when given,
+    returns the new iterate and whether a coordinate crossed zero; a
+    crossing zeroes the whole velocity and moves the bookkeeping index l to
+    k + 1, and the trace records a ``crossings`` column.
+    """
     if criterion not in RESTART_CRITERIA:
         raise ValueError(f"unknown restart criterion {criterion!r}")
-    if restart_grad_at not in ("old", "new"):
-        raise ValueError("restart_grad_at must be 'old' or 'new'")
     if h <= 0:
         raise ValueError("h must be positive")
     if h >= np.sqrt(2.0 / L):
@@ -224,64 +231,53 @@ def _check_rcm_args(criterion, restart_grad_at, h, L):
             f"{np.sqrt(2.0 / L):g}; the run may diverge",
             stacklevel=3,
         )
-
-
-def rcm_run(
-    obj: SmoothObjective,
-    x0,
-    h: float,
-    criterion: str,
-    max_iter: int,
-    restart_grad_at: str = "new",
-    keep_iterates: bool = False,
-) -> Trace:
-    """Conservative evolution-restart loop.
-
-    Starts at rest from x0 (the first iteration is therefore the symplectic
-    step from rest), then at every later iteration takes a trial symplectic
-    step, queries the restart criterion, and on a restart replaces the trial
-    with a fresh step from rest and resets the bookkeeping index l.
-
-    ``restart_grad_at`` selects where the post-restart velocity's gradient is
-    evaluated: "new" (default) recomputes it at the post-restart point,
-    "old" reuses the pre-restart gradient so the restart is exactly a
-    symplectic step from rest.  The default is measurably faster on the
-    benchmark families and is what the reference results reflect; the
-    alternative is kept for comparison.
-    """
-    _check_rcm_args(criterion, restart_grad_at, h, obj.lipschitz)
-    grad = obj.gradient
-    fval = obj.value
-    needs_trial_grad = criterion in ("grad", "mmd-dr")
+    needs_trial = criterion in ("grad", "mmd-dr")
+    crossed = None if project is None else False
 
     x = np.array(x0, dtype=float)
     v = np.zeros_like(x)
-    g = grad(x)
+    g = oracle(x)
     l = 0
-    rec = _Recorder(f"rcm-{criterion}", h, keep_iterates)
-    rec.add(0, fval(x), float(np.linalg.norm(g)), False, x, v, l)
+    rec = _Recorder(method, h, keep_iterates)
+    rec.add(0, value(x), float(np.linalg.norm(g)), False, x, v, l, crossed)
 
     for k in range(max_iter):
         v_trial = v - h * g
         x_trial = x + h * v_trial
-        g_trial = grad(x_trial) if needs_trial_grad else None
+        g_trial = oracle(x_trial) if needs_trial else None
         fire = k - l >= 1 and should_restart(criterion, v, v_trial, g_trial, k, l)
         if fire:
-            x = x - (h * h) * g
-            if restart_grad_at == "old":
-                v = -h * g
-                g = grad(x)
-            else:
-                g = grad(x)
-                v = -h * g
+            x_new = x - (h * h) * g
+            g_new = oracle(x_new)
+            v_new = -h * g_new
             l = k
         else:
-            if g_trial is None:
-                g_trial = grad(x_trial)
-            x, v, g = x_trial, v_trial, g_trial
-        rec.add(k + 1, fval(x), float(np.linalg.norm(g)), fire, x, v, l)
+            x_new, v_new, g_new = x_trial, v_trial, g_trial
+        if project is not None:
+            x_new, crossed = project(x, x_new)
+            if crossed:
+                v_new = np.zeros_like(v_new)
+                l = k + 1
+        x, v = x_new, v_new
+        # Without a crossing, x is the point g_new was evaluated at.
+        g = oracle(x) if g_new is None or crossed else g_new
+        rec.add(k + 1, value(x), float(np.linalg.norm(g)), fire, x, v, l, crossed)
 
     return rec.trace(x, v, l)
+
+
+def rcm_run(obj: SmoothObjective, x0, h: float, criterion: str, max_iter: int, keep_iterates: bool = False) -> Trace:
+    """Conservative evolution-restart loop.
+
+    Starts at rest from x0 (the first iteration is therefore the symplectic
+    step from rest), then at every later iteration takes a trial symplectic
+    step and queries the restart criterion.  On a restart it replaces the
+    trial with the step from rest x' = x - h^2 grad f(x), takes the new
+    velocity -h grad f(x') from the gradient at the post-restart point, and
+    resets the bookkeeping index l.
+    """
+    return _rcm_loop(obj.value, obj.gradient, obj.lipschitz, x0, h, criterion, max_iter, keep_iterates,
+                     f"rcm-{criterion}")
 
 
 def gradient_descent_run(obj: SmoothObjective, x0, s: float, max_iter: int, keep_iterates: bool = False) -> Trace:

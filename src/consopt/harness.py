@@ -105,7 +105,6 @@ __all__ = [
     "SMOOTH_METHODS",
     "COMPOSITE_METHODS",
     "DEFAULT_METHODS",
-    "default_methods",
     "build_instance",
     "run_experiment",
     "estimate_fstar",
@@ -141,10 +140,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.problem not in PROBLEMS:
             raise ValueError(f"unknown problem {self.problem!r}")
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        for name in ("n", "m", "reps", "max_iter"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be >= 0")
+        for name in ("h", "s"):
+            step = getattr(self, name)
+            if step is not None and not step > 0:
+                raise ValueError(f"{name} must be positive")
         methods = tuple(self.methods) or DEFAULT_METHODS[(self.problem, self.l1)]
         object.__setattr__(self, "methods", methods)
         for name in methods:
@@ -164,10 +168,6 @@ class ResultRow:
     gap: float
     residual: float
     restart: int
-
-
-def default_methods(problem: str, l1: bool) -> tuple:
-    return DEFAULT_METHODS[(problem, l1)]
 
 
 def build_instance(config: ExperimentConfig, rep: int):

@@ -83,12 +83,15 @@ class TestRcmComp:
         f = CompositeObjective(smooth=smooth, l1_weight=0.0)
         x0 = np.random.default_rng(3).standard_normal(12)
         h = 1.0 / np.sqrt(smooth.lipschitz)
-        a = rcm_run(smooth, x0, h, criterion, 250)
-        b = rcm_comp_run(f, x0, h, criterion, 250)
-        assert np.array_equal(a.fvals, b.fvals)
-        assert np.array_equal(a.residuals, b.residuals)
-        assert np.array_equal(a.restarts, b.restarts)
-        assert b.crossings.sum() == 0
+        a = rcm_run(smooth, x0, h, criterion, 250, keep_iterates=True)
+        b = rcm_comp_run(f, x0, h, criterion, 250, keep_iterates=True)
+        for col in ("iters", "fvals", "residuals", "restarts", "restart_origin", "xs", "vs"):
+            assert getattr(a, col).tobytes() == getattr(b, col).tobytes(), col
+        sa, sb = a.final_state, b.final_state
+        assert (sa.x.tobytes(), sa.v.tobytes(), sa.iter, sa.last_restart) == (
+            sb.x.tobytes(), sb.v.tobytes(), sb.iter, sb.last_restart)
+        assert a.crossings is None
+        assert b.crossings.dtype == bool and len(b.crossings) == len(b) and not b.crossings.any()
 
     def test_first_crossing_zeroes_iterate_and_velocity(self):
         smooth = quadratic_objective(np.array([[1.0]]), np.zeros(1))

@@ -224,17 +224,12 @@ class TestRcmRun:
 
     def test_warns_outside_step_range(self):
         obj = quad_1d(1.0)
-        with pytest.warns(UserWarning, match="outside the convergence range"):
-            rcm_run(obj, np.array([1.0]), 1.5, "grad", 5)
-
-    def test_restart_grad_at_variants_differ(self):
-        obj = gen_random_quadratic(15, 0.05, 9.0, 10)
-        x0 = np.random.default_rng(10).standard_normal(15)
-        h = 1.0 / np.sqrt(obj.lipschitz)
-        a = rcm_run(obj, x0, h, "grad", 200, restart_grad_at="new")
-        b = rcm_run(obj, x0, h, "grad", 200, restart_grad_at="old")
-        assert a.restarts.sum() > 0
-        assert not np.array_equal(a.fvals, b.fvals)
+        for run in (lambda: rcm_run(obj, np.array([1.0]), 1.5, "grad", 5),
+                    lambda: rcm_comp_run(CompositeObjective(smooth=obj, l1_weight=0.1), np.array([1.0]), 1.5,
+                                         "grad", 5)):
+            with pytest.warns(UserWarning, match="outside the convergence range") as record:
+                run()
+            assert all(w.filename == __file__ for w in record)
 
 
 class TestGradientDescent:

@@ -36,6 +36,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="composite"):
             ExperimentConfig(problem="quadratic", l1=True, methods=("gd",))
 
+    @pytest.mark.parametrize("field, value", [("h", 0.0), ("s", -1.0), ("h", float("nan"))])
+    def test_rejects_non_positive_step(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be positive"):
+            ExperimentConfig(problem="quadratic", **{field: value})
+
     def test_default_rosters(self):
         cfg = ExperimentConfig(problem="quadratic")
         assert cfg.methods == (
@@ -188,7 +193,8 @@ class TestCli:
 
     def test_unknown_flag_exits_2(self):
         for args in (["quadratic", "--bogus"], ["quadratic", "--methods", "sgd"],
-                     ["quadratic", "--methods", "fista"], ["logistic", "--methods", "nag-sc"]):
+                     ["quadratic", "--methods", "fista"], ["logistic", "--methods", "nag-sc"],
+                     ["quadratic", "--n", "0"], ["logistic", "--m", "0"], ["quadratic", "--seed", "-1"]):
             with pytest.raises(SystemExit) as info:
                 cli_main(["bench", *args])
             assert info.value.code == 2
