@@ -187,6 +187,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _continuous_usage_error(args):
+    """What is wrong with the options of ``consopt continuous``, or None.
+    ``kinetic-1d`` and ``visiting-time`` read only ``--mu``, so only the
+    other checks need ``--L >= --mu``."""
+    if not args.mu > 0:
+        return "--mu must be positive"
+    if args.check not in ("kinetic-1d", "visiting-time") and not args.L >= args.mu:
+        return "--L must be at least --mu"
+    if args.n < 1:
+        return "--n must be >= 1"
+    if args.dt is not None and not args.dt > 0:
+        return "--dt must be positive"
+    if args.restarts < 1:
+        return "--restarts must be >= 1"
+    return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -195,6 +212,8 @@ def main(argv=None) -> int:
             args.config = _bench_config(args)
         except ValueError as err:  # e.g. an unknown method, or a composite one without --l1
             parser.error(str(err))
+    elif (problem := _continuous_usage_error(args)) is not None:
+        parser.error(problem)
     return args.func(args)
 
 

@@ -10,6 +10,8 @@ reproduces its smooth counterpart exactly.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .discrete import Trace, _check_step, _rcm_loop, _Recorder
@@ -111,7 +113,7 @@ def _fista(f, x0, s, max_iter, restart, keep_iterates):
     t = 1.0
     rec = _Recorder(method, s, keep_iterates)
     d0 = minimal_norm_subgradient(f, x)
-    rec.add(0, f.value(x), float(np.linalg.norm(d0)), False, x, crossed=False)
+    rec.add(0, f.value(x), math.sqrt(d0 @ d0), False, x, crossed=False)
 
     for k in range(max_iter):
         x_prev, y_prev = x, y
@@ -126,7 +128,7 @@ def _fista(f, x0, s, max_iter, restart, keep_iterates):
             y = x + ((t - 1.0) / t_next) * dx
             t = t_next
         d = minimal_norm_subgradient(f, x)
-        rec.add(k + 1, f.value(x), float(np.linalg.norm(d)), fire, x, crossed=False)
+        rec.add(k + 1, f.value(x), math.sqrt(d @ d), fire, x, crossed=False)
         # A fixed state repeats f; comparing f first keeps the array tests
         # off nearly every other iteration.
         if rec.fvals[-1] == rec.fvals[-2] and not dx.any() and np.array_equal(y_prev, x_prev):

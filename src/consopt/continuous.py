@@ -18,6 +18,7 @@ form {bound_name, lhs, rhs, slack, pass}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -118,6 +119,13 @@ def default_time_step(obj: SmoothObjective) -> float:
     return 1e-3 / np.sqrt(obj.lipschitz)
 
 
+def _check_dt(dt: float) -> float:
+    """``dt``, or ValueError when it is not positive (zero, negative or NaN)."""
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    return dt
+
+
 def restart_time_upper_bound(mu: float, L: float) -> float:
     """Uniform restart-time bound 32 L / (mu sqrt(mu)) for the
     mean-dissipation rule on a strongly convex function."""
@@ -195,7 +203,9 @@ def _verlet(grad, x0, v0, dt: float, n_steps: int, g0=None):
         a = -g
         v = v_half + 0.5 * dt * a
         t = i * dt
-        if not np.all(np.isfinite(x)) or not np.all(np.isfinite(v)):
+        # A non-finite entry makes the sum non-finite; a finite state can
+        # overflow it too, so only a failed screen is checked entry by entry.
+        if not math.isfinite(x.sum() + v.sum()) and not (np.isfinite(x).all() and np.isfinite(v).all()):
             raise RuntimeError(f"non-finite state at t = {t:g}")
         yield i, t, x, v, g, a
 
@@ -209,8 +219,7 @@ def integrate_conservative(
     and reports the worst mechanical-energy drift max_t |H(t) - H(0)|, which
     shrinks like dt^2.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _check_dt(dt)
     if T <= dt:
         raise ValueError("T must exceed dt")
     n_steps = int(np.ceil(T / dt))
@@ -300,7 +309,7 @@ def _scan_from_rest(obj, x0, g0, dt, cap, mode, reltol, record_stride=None):
     prev, prev_speed = None, 0.0
     samples = []
     for i, t, x, v, g, a in _verlet(grad, x0, np.zeros_like(x0), dt, int(np.ceil(cap / dt)), g0):
-        speed = float(np.linalg.norm(v))
+        speed = math.sqrt(v @ v)
         q = float(g @ v)  # -dE_K/dt
         if mode == "mmd":
             fire = (-t * q - 0.5 * speed * speed) < 0.0
@@ -311,7 +320,7 @@ def _scan_from_rest(obj, x0, g0, dt, cap, mode, reltol, record_stride=None):
             t_ev, x_ev, v_ev, g_ev = _refine_event(
                 grad, test, is_after, prev, (t, x, v, a), reltol
             )
-            sp_ev = float(np.linalg.norm(v_ev))
+            sp_ev = math.sqrt(v_ev @ v_ev)
             arc += 0.5 * (t_ev - prev[0]) * (prev_speed + sp_ev)
             return (t_ev, x_ev, v_ev, g_ev), arc, samples
         arc += 0.5 * dt * (prev_speed + speed)
@@ -359,12 +368,11 @@ def _mmd_cap(obj, x0, dt, cap, f_star, g0):
 def _first_event(obj, x0, dt, cap, f_star, mode, reltol):
     """First restart event of ``mode`` on the flow from rest at x0, or None
     when the scan reaches the cap; also returns the cap."""
+    dt = default_time_step(obj) if dt is None else _check_dt(dt)
     x0 = np.asarray(x0, dtype=float)
     g0 = obj.gradient(x0)
     if float(np.linalg.norm(g0)) == 0.0:
         raise ValueError("grad f(x0) = 0: the flow from rest is stationary")
-    if dt is None:
-        dt = default_time_step(obj)
     cap = _mmd_cap(obj, x0, dt, cap, f_star, g0)
     state, arc, _ = _scan_from_rest(obj, x0, g0, dt, cap, mode, reltol)
     return (None if state is None else _event_from_state(obj, state, arc)), cap
@@ -428,8 +436,7 @@ def kinetic_energy_maxima(
     Used to check that a kinetic-energy maximum is never a mean-dissipation
     maximum: at each returned event t*dE_K/dt - E_K = -E_K < 0.
     """
-    if dt is None:
-        dt = default_time_step(obj)
+    dt = default_time_step(obj) if dt is None else _check_dt(dt)
     grad = obj.gradient
     x0 = np.asarray(x0, dtype=float)
     armed = False
@@ -470,9 +477,8 @@ def run_piecewise_conservative(
     """
     from .objectives import QuadraticObjective  # local import to avoid cycle noise
 
+    dt = default_time_step(obj) if dt is None else _check_dt(dt)
     x0 = np.asarray(x0, dtype=float)
-    if dt is None:
-        dt = default_time_step(obj)
     if f_star is None and isinstance(obj, QuadraticObjective):
         x_min = np.linalg.solve(obj.A, -obj.b)
         f_star = obj.value(x_min)

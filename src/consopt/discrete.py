@@ -13,6 +13,7 @@ and records one trace row per iteration plus the starting point.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -102,7 +103,9 @@ class _Recorder:
     residual is non-finite or beyond DIVERGENCE_LIMIT.
 
     The ``restart_origin`` and ``crossings`` columns exist only when the
-    runner passes ``l`` and ``crossed`` to ``add``.
+    runner passes ``l`` and ``crossed`` to ``add``.  Runners pass the
+    residual as ``math.sqrt(g @ g)``, bit for bit what ``np.linalg.norm``
+    computes for a real vector, at a fraction of its call cost.
     """
 
     def __init__(self, method, step, keep_iterates):
@@ -129,7 +132,7 @@ class _Recorder:
         if self.xs is not None:
             self.xs.append(np.array(x))
             self.vs.append(None if v is None else np.array(v))
-        if not (np.isfinite(fval) and np.isfinite(resid)) or abs(fval) > DIVERGENCE_LIMIT or resid > DIVERGENCE_LIMIT:
+        if not (math.isfinite(fval) and math.isfinite(resid)) or abs(fval) > DIVERGENCE_LIMIT or resid > DIVERGENCE_LIMIT:
             raise DivergenceError(
                 f"{self.method}: diverged at iteration {k} (f = {fval:g}, residual = {resid:g})",
                 partial_trace=self.trace(x, v, l),
@@ -239,7 +242,7 @@ def _rcm_loop(value, oracle, L, x0, h, criterion, max_iter, keep_iterates, metho
     g = oracle(x)
     l = 0
     rec = _Recorder(method, h, keep_iterates)
-    rec.add(0, value(x), float(np.linalg.norm(g)), False, x, v, l, crossed)
+    rec.add(0, value(x), math.sqrt(g @ g), False, x, v, l, crossed)
 
     for k in range(max_iter):
         v_trial = v - h * g
@@ -261,7 +264,7 @@ def _rcm_loop(value, oracle, L, x0, h, criterion, max_iter, keep_iterates, metho
         x, v = x_new, v_new
         # Without a crossing, x is the point g_new was evaluated at.
         g = oracle(x) if g_new is None or crossed else g_new
-        rec.add(k + 1, value(x), float(np.linalg.norm(g)), fire, x, v, l, crossed)
+        rec.add(k + 1, value(x), math.sqrt(g @ g), fire, x, v, l, crossed)
 
     return rec.trace(x, v, l)
 
@@ -288,11 +291,11 @@ def gradient_descent_run(obj: SmoothObjective, x0, s: float, max_iter: int, keep
     x = np.array(x0, dtype=float)
     g = grad(x)
     rec = _Recorder("gd", s, keep_iterates)
-    rec.add(0, fval(x), float(np.linalg.norm(g)), False, x)
+    rec.add(0, fval(x), math.sqrt(g @ g), False, x)
     for k in range(max_iter):
         x = x - s * g
         g = grad(x)
-        rec.add(k + 1, fval(x), float(np.linalg.norm(g)), False, x)
+        rec.add(k + 1, fval(x), math.sqrt(g @ g), False, x)
     return rec.trace(x)
 
 
@@ -318,7 +321,7 @@ def _momentum_run(obj, x0, s, momentum, max_iter, keep_iterates, method):
     y = x.copy()
     g = grad(x)
     rec = _Recorder(method, s, keep_iterates)
-    rec.add(0, fval(x), float(np.linalg.norm(g)), False, x)
+    rec.add(0, fval(x), math.sqrt(g @ g), False, x)
     for k in range(max_iter):
         x_old = x
         y_new = x - s * g
@@ -326,7 +329,7 @@ def _momentum_run(obj, x0, s, momentum, max_iter, keep_iterates, method):
         x = y_new + momentum(k) * dy
         y = y_new
         g = grad(x)
-        rec.add(k + 1, fval(x), float(np.linalg.norm(g)), False, x)
+        rec.add(k + 1, fval(x), math.sqrt(g @ g), False, x)
         # A fixed state repeats f; comparing f first keeps the array tests
         # off nearly every other iteration.
         if rec.fvals[-1] == rec.fvals[-2] and not dy.any() and np.array_equal(x, x_old):
@@ -377,7 +380,7 @@ def nag_c_restart_run(obj: SmoothObjective, x0, s: float, max_iter: int, keep_it
     g = grad(x)
     j = 0  # iterations since the last restart
     rec = _Recorder("nag-c-restart", s, keep_iterates)
-    rec.add(0, fval(x), float(np.linalg.norm(g)), False, x)
+    rec.add(0, fval(x), math.sqrt(g @ g), False, x)
     for k in range(max_iter):
         x_old = x
         beta = j / (j + 3.0)
@@ -395,7 +398,7 @@ def nag_c_restart_run(obj: SmoothObjective, x0, s: float, max_iter: int, keep_it
             g = g_cand
             j += 1
         y = y_new
-        rec.add(k + 1, fval(x), float(np.linalg.norm(g)), fire, x)
+        rec.add(k + 1, fval(x), math.sqrt(g @ g), fire, x)
         # A fixed state repeats f; comparing f first keeps the array tests
         # off nearly every other iteration.
         if rec.fvals[-1] == rec.fvals[-2] and not dy.any() and np.array_equal(x, x_old):

@@ -3,9 +3,15 @@
 Three smooth convex families are provided (quadratic, logistic regression,
 log-sum-exp), each with an analytic gradient and a certified upper bound on
 the gradient Lipschitz constant, plus the l1-composite wrapper and its
-minimal-norm subgradient.  Objectives are immutable after construction and
-safe to evaluate concurrently; generators are pure functions of their sizes
-and seed (PCG64 streams via ``numpy.random.default_rng``).
+minimal-norm subgradient.  Each family's ``value`` reuses the matrix
+product of the last ``gradient`` call when it is asked for the same point,
+so a value right after a gradient at that point costs no second product.
+Objectives are immutable after construction and safe to evaluate
+concurrently: the reuse is keyed on the exact bytes of the point, so a point
+mutated in place or given as a list or an integer array is never served a
+stale product, and the stored (key, product) pair is replaced by one atomic
+rebinding.  Generators are pure functions of their sizes and seed (PCG64
+streams via ``numpy.random.default_rng``).
 """
 
 from __future__ import annotations
@@ -123,6 +129,33 @@ class CompositeObjective:
         return minimal_norm_subgradient(self, x)
 
 
+def _shared_product(product, value_of, gradient_of):
+    """``value`` and ``gradient`` closures that share one product per point.
+
+    ``product(x)`` is the expensive part both need; ``value_of(x, p)`` and
+    ``gradient_of(x, p)`` finish the value and the gradient from it.
+    ``gradient`` stores its point's bytes with the product, and ``value``
+    reuses that product when called at a point with the same bytes.
+    """
+    last = (None, None)
+
+    def value(x):
+        x = np.asarray(x, dtype=float)
+        key, p = last
+        if key != x.tobytes():
+            p = product(x)
+        return value_of(x, p)
+
+    def gradient(x):
+        nonlocal last
+        x = np.asarray(x, dtype=float)
+        p = product(x)
+        last = (x.tobytes(), p)
+        return gradient_of(x, p)
+
+    return value, gradient
+
+
 def power_iteration(matvec, n: int, tol: float = 1e-8, max_iter: int = 10_000) -> float:
     """Largest eigenvalue of a symmetric PSD operator given as a matvec.
 
@@ -169,12 +202,11 @@ def quadratic_objective(A, b) -> QuadraticObjective:
     if lam_min <= 0:
         raise ValueError(f"A is not positive definite (lambda_min = {lam_min:g})")
 
-    def value(x, A=A, b=b):
-        return float(0.5 * (x @ (A @ x)) + b @ x)
-
-    def gradient(x, A=A, b=b):
-        return A @ x + b
-
+    value, gradient = _shared_product(
+        lambda x: A @ x,
+        lambda x, Ax: float(0.5 * (x @ Ax) + b @ x),
+        lambda x, Ax: Ax + b,
+    )
     return QuadraticObjective(
         dim=n,
         value=value,
@@ -222,14 +254,12 @@ def logistic_objective(A, y) -> LogisticObjective:
         raise ValueError("y entries must lie in {0, 1}")
     lam = power_iteration(lambda v: A @ (A.T @ v), n)
 
-    def value(x, A=A, y=y):
-        t = A.T @ x
-        return float(np.sum((1.0 - y) * t + np.logaddexp(0.0, -t)))
-
-    def gradient(x, A=A, y=y):
-        t = A.T @ x
-        return A @ ((1.0 - y) - expit(-t))
-
+    not_y = 1.0 - y
+    value, gradient = _shared_product(
+        lambda x: A.T @ x,
+        lambda x, t: float(np.sum(not_y * t + np.logaddexp(0.0, -t))),
+        lambda x, t: A @ (not_y - expit(-t)),
+    )
     # A = 0 gives a linear objective; keep the Lipschitz field positive
     return LogisticObjective(
         dim=n, value=value, gradient=gradient,
@@ -272,12 +302,11 @@ def logsumexp_objective(A, b, rho: float) -> LogSumExpObjective:
         raise ValueError("b length must equal the number of columns of A")
     lam = power_iteration(lambda v: A @ (A.T @ v), n)
 
-    def value(x, A=A, b=b, rho=rho):
-        return float(rho * logsumexp((A.T @ x - b) / rho))
-
-    def gradient(x, A=A, b=b, rho=rho):
-        return A @ softmax((A.T @ x - b) / rho)
-
+    value, gradient = _shared_product(
+        lambda x: (A.T @ x - b) / rho,
+        lambda x, z: float(rho * logsumexp(z)),
+        lambda x, z: A @ softmax(z),
+    )
     return LogSumExpObjective(
         dim=n, value=value, gradient=gradient,
         lipschitz=max(lam / rho, np.finfo(float).tiny), A=A, b=b, rho=rho,

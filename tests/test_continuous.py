@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from consopt.continuous import (
+    _verlet,
     default_time_step,
     finite_restart_cap,
     initial_dissipation_slope,
@@ -98,6 +99,22 @@ class TestIntegrator:
         assert np.allclose(traj.xs, 1.0)
         assert traj.energy_drift == pytest.approx(0.0, abs=1e-14)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("scale", [1e200, 1.5e308])
+    def test_huge_finite_state_does_not_raise(self, scale):
+        # x @ x and v @ v overflow, and at 1.5e308 so do the sums of x and v,
+        # although every coordinate is finite
+        x0, v0 = np.array([scale, scale / 2]), np.array([scale / 100, scale / 200])
+        nodes = list(_verlet(lambda x: np.zeros(2), x0, v0, 0.5, 3))
+        assert len(nodes) == 4
+        assert np.all(np.isfinite(nodes[-1][2])) and np.all(np.isfinite(nodes[-1][3]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_state_raises(self, bad):
+        grad = lambda x: np.array([0.0, bad]) if x[0] > 1.5 else np.zeros(2)
+        with pytest.raises(RuntimeError, match="non-finite state"):
+            list(_verlet(grad, np.ones(2), np.ones(2), 1.0, 4))
+
     def test_strictly_increasing_times_enforced(self):
         from consopt.continuous import ContinuousTrajectory
 
@@ -105,6 +122,23 @@ class TestIntegrator:
             ContinuousTrajectory(
                 times=np.array([0.0, 0.0]), xs=np.zeros((2, 1)), vs=np.zeros((2, 1))
             )
+
+
+DT_ENTRY_POINTS = {
+    "integrate_conservative": lambda obj, x0, dt: integrate_conservative(obj, x0, np.zeros(2), dt, 1.0),
+    "mmd_restart_time": lambda obj, x0, dt: mmd_restart_time(obj, x0, dt=dt),
+    "kinetic_max_restart_time": lambda obj, x0, dt: kinetic_max_restart_time(obj, x0, dt=dt),
+    "kinetic_energy_maxima": lambda obj, x0, dt: kinetic_energy_maxima(obj, x0, 5.0, dt=dt),
+    "run_piecewise_conservative": lambda obj, x0, dt: run_piecewise_conservative(obj, x0, dt=dt),
+}
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.01, np.nan])
+@pytest.mark.parametrize("entry", sorted(DT_ENTRY_POINTS))
+def test_rejects_non_positive_dt(entry, dt):
+    obj = quadratic_objective(np.diag([1.0, 2.0]), np.zeros(2))
+    with pytest.raises(ValueError, match="dt must be positive"):
+        DT_ENTRY_POINTS[entry](obj, np.ones(2), dt)
 
 
 class TestMeanDissipation:

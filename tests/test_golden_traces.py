@@ -1,15 +1,19 @@
 """Bit-identity pins for the runners, the harness and the Verlet flow.
 
 Each case hashes exact output bytes on fixed seeds: the CSV that
-``write_csv`` writes for a small family, every column of the restart
-loops' traces, the raw arrays of an integrated trajectory, and the floats
-of restart events and bound reports.  A change that alters any trace by
-even one ulp changes a digest.  When a change is meant to alter traces,
-the new digests go in with an explanation of the difference in CHANGES.md.
+``write_csv`` writes for a small family and for the quadratic family at the
+benchmark's size, every column of the restart loops' traces, the raw
+arrays of an integrated trajectory, and the floats of restart events and
+bound reports.  A change that alters any trace by even one ulp changes a
+digest.  When a change is meant to alter traces, the new digests go in
+with an explanation of the difference in CHANGES.md.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -31,6 +35,7 @@ NEEDS_MU = ("nag-sc", "nag-sc-under")
 COMPOSITE = ("fista", "fista-restart", "rcm-comp-grad", "rcm-comp-kin", "rcm-comp-mmd-r", "rcm-comp-mmd-dr")
 
 GOLDEN = {
+    "bench-quadratic": "5f5440a698e46c780c45caa1e407800e0362782eb69e04041ab49d24f3b55557",
     "csv-quadratic": "ca329359259067b4d433fe70440eda2569ec12cc1beb38d8f5fce6f7df3e0e2b",
     "csv-quadratic-l1": "11889a5c829cbd71e0b2967b360cb786a884f98856fc5fa96510ffb7f3a5cbae",
     "csv-logistic": "155e49928b7f3a29e200b4e6bfad4e82ea50d510edd58daaa237c37c96e4e723",
@@ -57,6 +62,19 @@ def _family_csv(problem, l1, tmp_path):
                            methods=methods)
     path = tmp_path / "rows.csv"
     write_csv(run_experiment(cfg), path)
+    return path.read_bytes()
+
+
+def _bench_quadratic(tmp_path):
+    """The quadratic family at the benchmark's n=200 with its default roster,
+    one rep of 100 iterations, written by ``consopt bench``.  It runs in a
+    child process with BLAS pinned to one thread, as the benchmark runs: at
+    this size the exact f* solve, and with it the gap column, depends on
+    the BLAS thread count in its last bits."""
+    path = tmp_path / "rows.csv"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    subprocess.run([sys.executable, "-m", "consopt.cli", "bench", "quadratic", "--n", "200", "--reps", "1",
+                    "--iters", "100", "--seed", "5", "--out", str(path)], env=env, check=True, capture_output=True)
     return path.read_bytes()
 
 
@@ -135,6 +153,8 @@ def test_golden_digest(name, tmp_path):
     if name.startswith("csv-"):
         problem, _, l1 = name[len("csv-"):].partition("-")
         digest = _sha(_family_csv(problem, l1 == "l1", tmp_path))
+    elif name == "bench-quadratic":
+        digest = _sha(_bench_quadratic(tmp_path))
     else:
         digest = {
             "integrate-conservative": _integrate_conservative,

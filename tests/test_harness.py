@@ -199,6 +199,16 @@ class TestCli:
                 cli_main(["bench", *args])
             assert info.value.code == 2
 
+    def test_bad_continuous_option_exits_2(self):
+        for args in (["mmd-bounds", "--mu", "0"], ["visiting-time", "--mu", "-1"], ["small-time", "--mu", "nan"],
+                     ["conv-cont", "--mu", "2", "--L", "1"], ["mmd-bounds", "--L", "nan"],
+                     ["mmd-bounds", "--n", "0"], ["mmd-bounds", "--dt", "0"], ["conv-cont", "--dt", "-0.01"],
+                     ["kinetic-1d", "--dt", "nan"], ["conv-cont", "--restarts", "0"],
+                     ["length", "--restarts", "0"]):
+            with pytest.raises(SystemExit) as info:
+                cli_main(["continuous", *args])
+            assert info.value.code == 2
+
     def test_unknown_subcommand_exits_2(self):
         for command in ("frobnicate", "verify"):
             with pytest.raises(SystemExit) as info:

@@ -1,9 +1,12 @@
 import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from consopt.objectives import (
+    _shared_product,
     CompositeObjective,
     SmoothObjective,
     gen_logistic_instance,
@@ -274,6 +277,98 @@ class TestSharedInvariants:
             SmoothObjective(
                 dim=1, value=lambda x: 0.0, gradient=lambda x: x, lipschitz=1.0, strong_convexity=2.0
             )
+
+
+FAMILIES = {
+    "quadratic": lambda: gen_random_quadratic(8, 0.03, 15.0, 0),
+    "logistic": lambda: logistic_objective(*gen_logistic_instance(6, 20, 0)[:2]),
+    "logsumexp": lambda: logsumexp_objective(*gen_logsumexp_instance(6, 20, 0), 0.7),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+class TestSharedProduct:
+    """``value`` reuses the product of the last ``gradient`` at the same
+    point and must return exactly what it returns without that reuse."""
+
+    def points(self, dim, k=10, seed=3):
+        return list(np.random.default_rng(seed).standard_normal((k, dim)))
+
+    def test_value_after_gradient_is_bit_equal(self, family):
+        obj, fresh = FAMILIES[family](), FAMILIES[family]()
+        for x in self.points(obj.dim):
+            obj.gradient(x)
+            assert obj.value(x) == fresh.value(x)
+
+    def test_point_mutated_in_place(self, family):
+        obj, fresh = FAMILIES[family](), FAMILIES[family]()
+        x = self.points(obj.dim, k=1)[0]
+        obj.gradient(x)
+        f_old = fresh.value(x.copy())
+        x += 0.25
+        assert obj.value(x) == fresh.value(x.copy())
+        assert obj.value(x) != f_old
+
+    def test_list_and_int_points(self, family):
+        obj, fresh = FAMILIES[family](), FAMILIES[family]()
+        x_int = np.arange(obj.dim) % 3 - 1
+        x = x_int.astype(float)
+        expected_f, expected_g = fresh.value(x), fresh.gradient(x)
+        for point in (x_int, x_int.tolist(), x):
+            obj.gradient(x)
+            assert obj.value(point) == expected_f
+            assert np.array_equal(obj.gradient(point), expected_g)
+            assert obj.value(point) == expected_f
+
+    def test_threads_share_one_objective(self, family):
+        obj, fresh = FAMILIES[family](), FAMILIES[family]()
+        xs = self.points(obj.dim, k=30)
+        expected = [(fresh.value(x), fresh.gradient(x).tobytes()) for x in xs]
+
+        def work(offset):
+            out = []
+            for _ in range(20):
+                for i in range(len(xs)):
+                    j = (i + offset) % len(xs)
+                    g = obj.gradient(xs[j])
+                    out.append((j, obj.value(xs[j]), g.tobytes()))
+            return out
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                results = [f.result(timeout=60) for f in [pool.submit(work, k) for k in range(6)]]
+        finally:
+            sys.setswitchinterval(interval)
+        assert sum(len(r) for r in results) == 6 * 20 * len(xs)
+        for r in results:
+            for j, f, g in r:
+                assert (f, g) == expected[j]
+
+
+def test_shared_product_computes_one_product_per_point():
+    calls = []
+
+    def product(x):
+        calls.append(x.copy())
+        return 2.0 * x
+
+    value, gradient = _shared_product(product, lambda x, p: float(p.sum()), lambda x, p: p + x)
+    x = np.arange(3.0)
+    assert np.array_equal(gradient(x), 3.0 * x)
+    assert value(x) == 6.0
+    assert value([0.0, 1.0, 2.0]) == 6.0
+    assert len(calls) == 1
+    y = x + 1.0  # value alone does not store its product
+    assert value(y) == value(y) == 12.0
+    assert len(calls) == 3
+    gradient(y)
+    assert value(y) == 12.0
+    assert len(calls) == 4
+    y[0] = 5.0  # the stored key is a copy of the point's bytes
+    assert value(y) == 20.0
+    assert len(calls) == 5
 
 
 class TestSerialization:
