@@ -26,8 +26,6 @@ from .objectives import (
     minimal_norm_subgradient,
     power_iteration,
     quadratic_objective,
-    read_matrix,
-    write_matrix,
 )
 from .discrete import (
     RESTART_CRITERIA,

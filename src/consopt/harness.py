@@ -13,8 +13,9 @@ from __future__ import annotations
 import json
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from itertools import repeat
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -159,8 +160,19 @@ class ExperimentConfig:
                 raise ValueError(f"{name!r} needs a strong convexity constant, which {self.problem} lacks")
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(NamedTuple):
+    """One recorded iteration of one method on one repetition.
+
+    ``fval`` and ``residual`` are the trace's value and (sub)gradient norm
+    at iterate ``iter``, and ``restart`` is 1 where a restart fired, else 0.
+    ``gap`` is max(fval - f*, 0) with f* from :func:`estimate_fstar`; a
+    negative difference is roundoff around f* and is clipped to 0, and the
+    clipped count is reported by :func:`run_experiment`.  A run that
+    diverged ends in one diagnostic row at the next iteration whose fval,
+    gap and residual are NaN and whose restart is 0.  Every field is a
+    plain Python ``str``, ``int`` or ``float``, never a NumPy scalar.
+    """
+
     method: str
     rep: int
     iter: int
@@ -237,7 +249,9 @@ def estimate_fstar(obj, x0, budget: int, s: Optional[float] = None) -> float:
     return float(np.min(trace.fvals))
 
 
-def _rep_rows(config: ExperimentConfig, rep: int) -> List[ResultRow]:
+def _rep_rows(config: ExperimentConfig, rep: int) -> Tuple[List[ResultRow], int]:
+    """Rows of every configured method on repetition ``rep``, and the number
+    of gaps clipped to 0."""
     obj, x0 = build_instance(config, rep)
     f_star = estimate_fstar(obj, x0, config.max_iter, s=config.s)
     rows = []
@@ -249,40 +263,18 @@ def _rep_rows(config: ExperimentConfig, rep: int) -> List[ResultRow]:
         except disc.DivergenceError as err:
             trace = err.partial_trace
             diverged = True
-        for i in range(len(trace)):
-            gap = trace.fvals[i] - f_star
-            if gap < 0.0:
-                clipped += 1
-                gap = 0.0
-            rows.append(
-                ResultRow(
-                    method=name,
-                    rep=rep,
-                    iter=int(trace.iters[i]),
-                    fval=float(trace.fvals[i]),
-                    gap=float(gap),
-                    residual=float(trace.residuals[i]),
-                    restart=int(trace.restarts[i]),
-                )
-            )
+        gaps = trace.fvals - f_star
+        negative = gaps < 0.0
+        clipped += int(np.count_nonzero(negative))
+        gaps[negative] = 0.0
+        rows.extend(map(ResultRow._make, zip(
+            repeat(name), repeat(rep), trace.iters.tolist(), trace.fvals.tolist(), gaps.tolist(),
+            trace.residuals.tolist(), trace.restarts.astype(int).tolist(),
+        )))
         if diverged:
-            rows.append(
-                ResultRow(
-                    method=name,
-                    rep=rep,
-                    iter=int(trace.iters[-1]) + 1,
-                    fval=float("nan"),
-                    gap=float("nan"),
-                    residual=float("nan"),
-                    restart=0,
-                )
-            )
-    if clipped:
-        warnings.warn(
-            f"rep {rep}: clipped {clipped} slightly negative gap values to 0",
-            stacklevel=2,
-        )
-    return rows
+            nan = float("nan")
+            rows.append(ResultRow(name, rep, int(trace.iters[-1]) + 1, nan, nan, nan, 0))
+    return rows, clipped
 
 
 def run_experiment(config: ExperimentConfig, parallel: bool = False) -> List[ResultRow]:
@@ -291,7 +283,8 @@ def run_experiment(config: ExperimentConfig, parallel: bool = False) -> List[Res
     Repetitions are independent; with ``parallel=True`` they run on a thread
     pool and the merged row list is identical to the sequential one.  A
     diverging method contributes its truncated rows plus one NaN diagnostic
-    row.
+    row.  Each repetition that clipped gaps to 0 raises one ``UserWarning``
+    at the caller, in repetition order.
     """
     if parallel and config.reps > 1:
         with ThreadPoolExecutor() as pool:
@@ -299,40 +292,50 @@ def run_experiment(config: ExperimentConfig, parallel: bool = False) -> List[Res
     else:
         per_rep = [_rep_rows(config, rep) for rep in range(config.reps)]
     rows: List[ResultRow] = []
-    for chunk in per_rep:
+    for rep, (chunk, clipped) in enumerate(per_rep):
+        if clipped:
+            warnings.warn(f"rep {rep}: clipped {clipped} slightly negative gap values to 0", stacklevel=2)
         rows.extend(chunk)
     return rows
 
 
 def write_csv(rows, path) -> None:
-    """Rows to CSV with round-trip float formatting."""
+    """Rows to CSV, one line per row after the header line ``CSV_HEADER``.
+
+    Fields are separated by commas and lines end in a single newline.
+    ``method`` is written as is, ``rep``, ``iter`` and ``restart`` as
+    decimal integers, and ``fval``, ``gap`` and ``residual`` with ``repr``,
+    which round-trips every float (``nan`` for the diagnostic row).  Lines
+    are streamed to the file, not joined in memory.
+    """
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
-        for r in rows:
-            fh.write(
-                f"{r.method},{r.rep},{r.iter},{r.fval!r},{r.gap!r},{r.residual!r},{r.restart}\n"
-            )
+        fh.writelines(
+            f"{method},{rep},{it},{fval!r},{gap!r},{residual!r},{restart}\n"
+            for method, rep, it, fval, gap, residual, restart in rows
+        )
 
 
 def read_csv(path) -> List[ResultRow]:
+    """Rows from a CSV in the format :func:`write_csv` writes.
+
+    Raises ``ValueError`` if the first line is not ``CSV_HEADER``, or,
+    naming the path and the 1-based line number, if a line is blank, has
+    other than seven fields, or has a field that does not parse as its
+    type.
+    """
     rows = []
     with open(path) as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ValueError(f"{path}: unexpected header {header!r}")
-        for line in fh:
-            method, rep, it, fval, gap, resid, restart = line.rstrip("\n").split(",")
-            rows.append(
-                ResultRow(
-                    method=method,
-                    rep=int(rep),
-                    iter=int(it),
-                    fval=float(fval),
-                    gap=float(gap),
-                    residual=float(resid),
-                    restart=int(restart),
-                )
-            )
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                method, rep, it, fval, gap, residual, restart = line.rstrip("\n").split(",")
+                rows.append(ResultRow(method, int(rep), int(it), float(fval), float(gap),
+                                      float(residual), int(restart)))
+            except ValueError as err:
+                raise ValueError(f"{path}: line {lineno}: malformed row ({err})") from None
     return rows
 
 

@@ -16,7 +16,6 @@ streams via ``numpy.random.default_rng``).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -41,10 +40,6 @@ __all__ = [
     "l1_weight_rule",
     "lipschitz_constant",
     "power_iteration",
-    "write_matrix",
-    "read_matrix",
-    "save_instance",
-    "load_instance",
 ]
 
 
@@ -124,9 +119,6 @@ class CompositeObjective:
 
     def value(self, x: Array) -> float:
         return self.smooth.value(x) + self.l1_weight * np.abs(x).sum()
-
-    def subgradient(self, x: Array) -> Array:
-        return minimal_norm_subgradient(self, x)
 
 
 def _shared_product(product, value_of, gradient_of):
@@ -376,62 +368,3 @@ def lipschitz_constant(obj: SmoothObjective, tol: float = 1e-8) -> float:
         return power_iteration(lambda v: A @ (A.T @ v), obj.dim, tol=tol) / obj.rho
     raise ValueError("objective is not one of the three benchmark families")
 
-
-# -- plain-text serialization ------------------------------------------------
-#
-# One matrix per file: a header line "n m" followed by n whitespace-separated
-# rows, row-major, with round-trip decimal formatting.  Vectors are stored as
-# n x 1 matrices.
-
-
-def write_matrix(path, M) -> None:
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    with open(path, "w") as fh:
-        fh.write(f"{M.shape[0]} {M.shape[1]}\n")
-        for row in M:
-            fh.write(" ".join(repr(v) for v in row.tolist()) + "\n")
-
-
-def read_matrix(path) -> Array:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: malformed header")
-        n, m = int(header[0]), int(header[1])
-        data = np.loadtxt(fh, ndmin=2)
-    if data.shape != (n, m):
-        raise ValueError(f"{path}: body shape {data.shape} does not match header ({n}, {m})")
-    return data
-
-
-def save_instance(obj, directory) -> None:
-    """Write the defining arrays of an objective, one text matrix per file."""
-    os.makedirs(directory, exist_ok=True)
-    if isinstance(obj, QuadraticObjective):
-        write_matrix(os.path.join(directory, "A.txt"), obj.A)
-        write_matrix(os.path.join(directory, "b.txt"), obj.b.reshape(-1, 1))
-    elif isinstance(obj, LogisticObjective):
-        write_matrix(os.path.join(directory, "A.txt"), obj.A)
-        write_matrix(os.path.join(directory, "y.txt"), obj.y.reshape(-1, 1))
-    elif isinstance(obj, LogSumExpObjective):
-        write_matrix(os.path.join(directory, "A.txt"), obj.A)
-        write_matrix(os.path.join(directory, "b.txt"), obj.b.reshape(-1, 1))
-        write_matrix(os.path.join(directory, "rho.txt"), np.array([[obj.rho]]))
-    else:
-        raise ValueError("objective is not one of the three benchmark families")
-
-
-def load_instance(kind: str, directory) -> SmoothObjective:
-    """Rebuild an objective written by :func:`save_instance`."""
-    A = read_matrix(os.path.join(directory, "A.txt"))
-    if kind == "quadratic":
-        b = read_matrix(os.path.join(directory, "b.txt")).ravel()
-        return quadratic_objective(A, b)
-    if kind == "logistic":
-        y = read_matrix(os.path.join(directory, "y.txt")).ravel()
-        return logistic_objective(A, y)
-    if kind == "logsumexp":
-        b = read_matrix(os.path.join(directory, "b.txt")).ravel()
-        rho = float(read_matrix(os.path.join(directory, "rho.txt"))[0, 0])
-        return logsumexp_objective(A, b, rho)
-    raise ValueError(f"unknown problem kind {kind!r}")

@@ -1,15 +1,21 @@
 import json
+import math
+import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from consopt import discrete
 from consopt.harness import (
     METHODS,
     PROBLEMS,
     ExperimentConfig,
+    ResultRow,
+    _run_method,
     build_instance,
     estimate_fstar,
     read_csv,
@@ -19,6 +25,54 @@ from consopt.harness import (
 )
 from consopt.objectives import CompositeObjective, quadratic_objective
 from consopt.cli import main as cli_main
+
+# A quadratic family, whose exact f* makes some gaps clip at roundoff, with
+# one method (gd at s = 10 > 2/L) that diverges on every repetition.
+DIVERGING = ExperimentConfig(problem="quadratic", n=8, reps=2, max_iter=200, s=10.0,
+                             methods=("gd", "rcm-grad", "rcm-kin"))
+
+
+def _scalar_rows(config):
+    """Reference rows and clipped counts per repetition, built one NumPy
+    scalar at a time from the same instances, f* and traces."""
+    rows, counts = [], []
+    for rep in range(config.reps):
+        obj, x0 = build_instance(config, rep)
+        f_star = estimate_fstar(obj, x0, config.max_iter, s=config.s)
+        clipped = 0
+        for name in config.methods:
+            try:
+                trace = _run_method(name, obj, x0, config)
+                diverged = False
+            except discrete.DivergenceError as err:
+                trace = err.partial_trace
+                diverged = True
+            for i in range(len(trace)):
+                gap = trace.fvals[i] - f_star
+                if gap < 0.0:
+                    clipped += 1
+                    gap = 0.0
+                rows.append(ResultRow(method=name, rep=rep, iter=int(trace.iters[i]),
+                                      fval=float(trace.fvals[i]), gap=float(gap),
+                                      residual=float(trace.residuals[i]), restart=int(trace.restarts[i])))
+            if diverged:
+                nan = float("nan")
+                rows.append(ResultRow(name, rep, int(trace.iters[-1]) + 1, nan, nan, nan, 0))
+        counts.append(clipped)
+    return rows, counts
+
+
+def _bits(rows):
+    """Rows with every field as its repr: NaN compares equal to NaN, while
+    0.0 and -0.0, 1 and 1.0, and a float and a NumPy scalar stay apart."""
+    return [tuple(map(repr, r)) for r in rows]
+
+
+def _run_recording_warnings(config, parallel=False):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = run_experiment(config, parallel=parallel)
+    return rows, caught
 
 
 class TestConfig:
@@ -86,6 +140,27 @@ class TestRunExperiment:
         par = run_experiment(cfg, parallel=True)
         assert seq == par
 
+    def test_clipped_gap_warnings_in_rep_order_at_caller(self):
+        cfg = ExperimentConfig(problem="quadratic", n=30, reps=2, max_iter=400, base_seed=4)
+        _, seq = _run_recording_warnings(cfg)
+        _, par = _run_recording_warnings(cfg, parallel=True)
+        messages = [str(w.message) for w in seq]
+        assert [m.split(":")[0] for m in messages] == ["rep 0", "rep 1"]
+        assert [str(w.message) for w in par] == messages
+        assert all(w.filename == __file__ for w in seq + par)
+
+    def test_rows_match_scalar_construction(self):
+        rows, caught = _run_recording_warnings(DIVERGING)
+        expected, counts = _scalar_rows(DIVERGING)
+        assert _bits(rows) == _bits(expected)
+        assert sum(math.isnan(r.fval) for r in rows) == DIVERGING.reps
+        assert all(counts)
+        assert [str(w.message) for w in caught] == [
+            f"rep {rep}: clipped {n} slightly negative gap values to 0" for rep, n in enumerate(counts)
+        ]
+        field_types = (str, int, int, float, float, float, int)
+        assert all(tuple(map(type, r)) == field_types for r in rows)
+
     @pytest.mark.parametrize("l1", [False, True])
     @pytest.mark.parametrize("problem", PROBLEMS)
     def test_every_registered_method_runs(self, problem, l1):
@@ -138,6 +213,29 @@ class TestCsv:
         path = tmp_path / "rows.csv"
         write_csv(rows, path)
         assert read_csv(path) == rows
+
+    @pytest.mark.filterwarnings("ignore:rep .* clipped")
+    def test_round_trip_with_divergence(self, tmp_path):
+        rows = run_experiment(DIVERGING)
+        path = tmp_path / "rows.csv"
+        write_csv(rows, path)
+        back = read_csv(path)
+        assert any(math.isnan(r.gap) for r in back)
+        assert _bits(back) == _bits(rows)
+
+    @pytest.mark.parametrize("line, lineno", [
+        ("gd,0,1,0.5,0.25,1.0\n", 3),
+        ("gd,0,1,0.5,0.25,1.0,0,7\n", 3),
+        ("gd,0,1,half,0.25,1.0,0\n", 3),
+        ("gd,0,one,0.5,0.25,1.0,0\n", 3),
+        ("\n", 3),
+        ("gd,0,1,0.5,0.25,1.0,0\n\n", 4),
+    ])
+    def test_malformed_row_names_path_and_line(self, tmp_path, line, lineno):
+        path = tmp_path / "rows.csv"
+        path.write_text("method,rep,iter,fval,gap,residual,restart\ngd,0,0,1.0,0.5,2.0,0\n" + line)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line {lineno}: "):
+            read_csv(path)
 
     def test_header_only_for_empty(self, tmp_path):
         path = tmp_path / "empty.csv"

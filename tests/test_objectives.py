@@ -1,4 +1,3 @@
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -14,14 +13,10 @@ from consopt.objectives import (
     gen_random_quadratic,
     l1_weight_rule,
     lipschitz_constant,
-    load_instance,
     logistic_objective,
     logsumexp_objective,
     minimal_norm_subgradient,
     quadratic_objective,
-    read_matrix,
-    save_instance,
-    write_matrix,
 )
 
 from oracles import brute_force_min_subgradient, fd_gradient
@@ -370,33 +365,3 @@ def test_shared_product_computes_one_product_per_point():
     assert value(y) == 20.0
     assert len(calls) == 5
 
-
-class TestSerialization:
-    def test_matrix_round_trip(self, tmp_path):
-        M = np.random.default_rng(4).standard_normal((3, 5))
-        path = tmp_path / "m.txt"
-        write_matrix(path, M)
-        header = path.read_text().splitlines()[0]
-        assert header == "3 5"
-        assert np.array_equal(read_matrix(path), M)
-
-    def test_instance_round_trip(self, tmp_path):
-        quad = gen_random_quadratic(6, 0.1, 5.0, 2)
-        save_instance(quad, tmp_path / "quad")
-        again = load_instance("quadratic", tmp_path / "quad")
-        assert np.array_equal(again.A, quad.A)
-        assert np.array_equal(again.b, quad.b)
-
-        A, y, _ = gen_logistic_instance(4, 9, 2)
-        logi = logistic_objective(A, y)
-        save_instance(logi, tmp_path / "logi")
-        again = load_instance("logistic", tmp_path / "logi")
-        assert np.array_equal(again.A, logi.A)
-        assert np.array_equal(again.y, logi.y)
-
-        M, c = gen_logsumexp_instance(4, 9, 2)
-        lse = logsumexp_objective(M, c, 1.5)
-        save_instance(lse, tmp_path / "lse")
-        again = load_instance("logsumexp", tmp_path / "lse")
-        assert np.array_equal(again.A, lse.A)
-        assert again.rho == 1.5
