@@ -20,7 +20,6 @@ from .objectives import (
     gen_logsumexp_instance,
     gen_random_quadratic,
     l1_weight_rule,
-    lipschitz_constant,
     logistic_objective,
     logsumexp_objective,
     minimal_norm_subgradient,

@@ -32,7 +32,7 @@ __all__ = [
 
 def prox_l1(z: Array, tau: float) -> Array:
     """Soft threshold, the proximal map of tau * ||.||_1."""
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError("tau must be nonnegative")
     z = np.asarray(z, dtype=float)
     return np.sign(z) * np.maximum(np.abs(z) - tau, 0.0)
@@ -124,7 +124,7 @@ def _fista(f, x0, s, max_iter, restart, keep_iterates):
             t = 1.0
             y = x
         else:
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             y = x + ((t - 1.0) / t_next) * dx
             t = t_next
         d = minimal_norm_subgradient(f, x)

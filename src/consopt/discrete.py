@@ -175,7 +175,7 @@ class _Recorder:
 
 def symplectic_euler_step(obj: SmoothObjective, x: Array, v: Array, h: float):
     """One explicit symplectic Euler step: v' = v - h grad f(x), x' = x + h v'."""
-    if h <= 0:
+    if not h > 0:
         raise ValueError("h must be positive")
     v_new = v - h * obj.gradient(x)
     x_new = x + h * v_new
@@ -226,7 +226,7 @@ def _rcm_loop(value, oracle, L, x0, h, criterion, max_iter, keep_iterates, metho
     """
     if criterion not in RESTART_CRITERIA:
         raise ValueError(f"unknown restart criterion {criterion!r}")
-    if h <= 0:
+    if not h > 0:
         raise ValueError("h must be positive")
     if h >= np.sqrt(2.0 / L):
         warnings.warn(
@@ -285,7 +285,7 @@ def rcm_run(obj: SmoothObjective, x0, h: float, criterion: str, max_iter: int, k
 
 def gradient_descent_run(obj: SmoothObjective, x0, s: float, max_iter: int, keep_iterates: bool = False) -> Trace:
     """Plain gradient descent x_{k+1} = x_k - s grad f(x_k)."""
-    if s <= 0:
+    if not s > 0:
         raise ValueError("s must be positive")
     grad, fval = obj.gradient, obj.value
     x = np.array(x0, dtype=float)
@@ -300,9 +300,9 @@ def gradient_descent_run(obj: SmoothObjective, x0, s: float, max_iter: int, keep
 
 
 def _check_step(s, L, who, stacklevel=3):
-    """Reject a nonpositive gradient step and warn, at the runner's caller,
-    about one above 1/L."""
-    if s <= 0:
+    """Reject a gradient step that is not positive (NaN included) and warn,
+    at the runner's caller, about one above 1/L."""
+    if not s > 0:
         raise ValueError("s must be positive")
     if s > 1.0 / L:
         warnings.warn(f"{who}: s = {s:g} exceeds 1/L = {1.0 / L:g}", stacklevel=stacklevel)
@@ -352,7 +352,7 @@ def nag_sc_run(obj: SmoothObjective, x0, s: float, mu: float, max_iter: int, kee
     convexity constant can be benchmarked.
     """
     _check_step(s, obj.lipschitz, "nag-sc")
-    if mu <= 0:
+    if not mu > 0:
         raise ValueError("mu must be positive")
     if mu * s > 1.0:
         raise ValueError(f"mu * s = {mu * s:g} > 1: momentum coefficient out of range")

@@ -222,14 +222,18 @@ def _run_method(name: str, obj, x0, config: ExperimentConfig):
 
 
 def estimate_fstar(obj, x0, budget: int, s: Optional[float] = None) -> float:
-    """Lower envelope estimate of the minimum value for the gap column.
+    """Estimate of the minimum value f* for the gap column.
 
     Quadratic objectives are solved exactly (linear solve, with a least
-    squares fallback plus one iterative refinement step if the solve fails).
+    squares fallback plus one iterative refinement step if the solve fails),
+    so their f* is exact up to the roundoff of the solve and one evaluation.
     Everything else takes the minimum value along a restarted reference run
     (NAG-C-restart for smooth problems, FISTA-restart for composites) of ten
-    times the experiment budget.  A reference run that reaches an exact
-    fixed point writes its remaining rows as copies of the last one, without
+    times the experiment budget.  That minimum is a value the reference
+    reached, so it is at least f*: an estimate from above.  Rows of a method
+    that dips below it get their gaps clipped to 0, which on the benchmark
+    families happens only at roundoff.  A reference run that reaches an exact fixed
+    point writes its remaining rows as copies of the last one, without
     oracle calls, so it costs only the iterations up to that point.
     """
     if isinstance(obj, QuadraticObjective):

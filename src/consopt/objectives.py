@@ -38,7 +38,6 @@ __all__ = [
     "gen_logsumexp_instance",
     "minimal_norm_subgradient",
     "l1_weight_rule",
-    "lipschitz_constant",
     "power_iteration",
 ]
 
@@ -249,7 +248,7 @@ def logistic_objective(A, y) -> LogisticObjective:
     not_y = 1.0 - y
     value, gradient = _shared_product(
         lambda x: A.T @ x,
-        lambda x, t: float(np.sum(not_y * t + np.logaddexp(0.0, -t))),
+        lambda x, t: float((not_y * t + np.logaddexp(0.0, -t)).sum()),
         lambda x, t: A @ (not_y - expit(-t)),
     )
     # A = 0 gives a linear objective; keep the Lipschitz field positive
@@ -321,16 +320,18 @@ def minimal_norm_subgradient(f: CompositeObjective, x: Array) -> Array:
     Coordinatewise: grad_i + gamma*sign(x_i) away from zero; at x_i = 0 the
     subdifferential is the interval [grad_i - gamma, grad_i + gamma] and the
     norm minimizer is grad_i - clip(grad_i, -gamma, gamma) (soft threshold).
+
+    The clip is two ufuncs over every coordinate rather than ``np.clip`` on
+    a masked copy, whose Python wrappers cost more than the arithmetic.
+    ``maximum`` and ``minimum`` return their second argument on a tie, so
+    with the gradient second they keep ``clip``'s signed zeros at
+    gamma = 0; a NaN gradient propagates.
     """
     x = np.asarray(x, dtype=float)
     g = f.smooth.gradient(x)
     gamma = f.l1_weight
-    out = g + gamma * np.sign(x)
-    zero = x == 0.0
-    if np.any(zero):
-        gz = g[zero]
-        out[zero] = gz - np.clip(gz, -gamma, gamma)
-    return out
+    clipped = np.minimum(gamma, np.maximum(-gamma, g))
+    return np.where(x == 0.0, g - clipped, g + gamma * np.sign(x))
 
 
 def l1_weight_rule(problem_kind: str, data) -> float:
@@ -349,22 +350,3 @@ def l1_weight_rule(problem_kind: str, data) -> float:
     if problem_kind in ("logistic", "logsumexp"):
         return 0.5 * norm_inf
     raise ValueError(f"unknown problem kind {problem_kind!r}")
-
-
-def lipschitz_constant(obj: SmoothObjective, tol: float = 1e-8) -> float:
-    """Gradient Lipschitz bound for the three benchmark families.
-
-    quadratic -> lambda_max(A); logistic -> lambda_max(AA')/4;
-    log-sum-exp -> lambda_max(AA')/rho.  All via power iteration with a
-    deterministic start vector.
-    """
-    if isinstance(obj, QuadraticObjective):
-        return power_iteration(lambda v: obj.A @ v, obj.dim, tol=tol)
-    if isinstance(obj, LogisticObjective):
-        A = obj.A
-        return 0.25 * power_iteration(lambda v: A @ (A.T @ v), obj.dim, tol=tol)
-    if isinstance(obj, LogSumExpObjective):
-        A = obj.A
-        return power_iteration(lambda v: A @ (A.T @ v), obj.dim, tol=tol) / obj.rho
-    raise ValueError("objective is not one of the three benchmark families")
-

@@ -8,9 +8,10 @@ from consopt.composite import (
     rcm_comp_run,
     sign_crossing_projection,
 )
-from consopt.discrete import rcm_run
+from consopt.discrete import DivergenceError, rcm_run
 from consopt.objectives import (
     CompositeObjective,
+    SmoothObjective,
     gen_logistic_instance,
     gen_random_quadratic,
     l1_weight_rule,
@@ -53,6 +54,10 @@ class TestProxL1:
     def test_rejects_negative_tau(self):
         with pytest.raises(ValueError):
             prox_l1(np.ones(2), -0.1)
+
+    def test_rejects_nan_tau(self):
+        with pytest.raises(ValueError, match="tau must be nonnegative"):
+            prox_l1(np.ones(2), np.nan)
 
 
 class TestSignCrossing:
@@ -226,3 +231,24 @@ class TestFixedPoint:
         trace = fista_restart_run(f, x0, 1.0 / f.smooth.lipschitz, 6000)
         x = trace.final_state.x
         assert np.any(x == 0.0)  # the l1 weight rule keeps some sparsity
+
+
+@pytest.mark.parametrize("run", [
+    lambda f, x0: rcm_comp_run(f, x0, 0.5, "grad", 20),
+    lambda f, x0: fista_run(f, x0, 0.5, 20),
+], ids=["rcm-comp", "fista"])
+def test_nan_gradient_at_zero_coordinate_reaches_divergence_check(run):
+    # g(x) = |x - 1|^2 / 2, with a gradient that is NaN wherever x_i == 0.
+    # The second coordinate reaches exactly 0 after one step (a sign crossing
+    # for rcm-comp, a soft threshold for FISTA), and the NaN that the
+    # minimal-norm subgradient returns there must stop the run.
+    smooth = SmoothObjective(
+        dim=2,
+        value=lambda x: 0.5 * float((x - 1.0) @ (x - 1.0)),
+        gradient=lambda x: np.where(x == 0.0, np.nan, x - 1.0),
+        lipschitz=1.0,
+    )
+    f = CompositeObjective(smooth=smooth, l1_weight=2.0)
+    with pytest.raises(DivergenceError, match=r"diverged at iteration 1 \(f = [^,]+, residual = nan\)") as info:
+        run(f, np.array([2.0, -0.3]))
+    assert info.value.partial_trace.final_state.x[1] == 0.0

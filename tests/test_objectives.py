@@ -4,6 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from consopt.composite import fista_restart_run
 from consopt.objectives import (
     _shared_product,
     CompositeObjective,
@@ -12,7 +13,6 @@ from consopt.objectives import (
     gen_logsumexp_instance,
     gen_random_quadratic,
     l1_weight_rule,
-    lipschitz_constant,
     logistic_objective,
     logsumexp_objective,
     minimal_norm_subgradient,
@@ -167,6 +167,24 @@ class TestLogSumExp:
             logsumexp_objective(np.ones((2, 3)), np.zeros(3), 0.0)
 
 
+def _clip_subgradient(g, x, gamma):
+    """The minimal-norm subgradient from a given gradient, as a masked update
+    through ``np.clip`` and ``np.any``: the reference for bit equality."""
+    out = g + gamma * np.sign(x)
+    zero = x == 0.0
+    if np.any(zero):
+        gz = g[zero]
+        out[zero] = gz - np.clip(gz, -gamma, gamma)
+    return out
+
+
+def _given_gradient(g, gamma):
+    """A composite whose smooth gradient is ``g`` at every point."""
+    g = np.array(g, dtype=float)
+    smooth = SmoothObjective(dim=len(g), value=lambda x: 0.0, gradient=lambda x: g.copy(), lipschitz=1.0)
+    return CompositeObjective(smooth=smooth, l1_weight=gamma)
+
+
 class TestMinimalNormSubgradient:
     def _composite_with_gradient(self, g, x, gamma):
         n = len(g)
@@ -205,6 +223,30 @@ class TestMinimalNormSubgradient:
             v = g + np.where(nz, gamma * np.sign(x), rng.uniform(-gamma, gamma, n))
             assert np.linalg.norm(d) <= np.linalg.norm(v) + 1e-12
 
+    def test_bits_on_logistic_l1_iterates(self):
+        A, y, _ = gen_logistic_instance(50, 200, 3)
+        smooth = logistic_objective(A, y)
+        gamma = l1_weight_rule("logistic", smooth.gradient(np.zeros(50)))
+        f = CompositeObjective(smooth=smooth, l1_weight=gamma)
+        xs = fista_restart_run(f, np.zeros(50), 1.0 / smooth.lipschitz, 60, keep_iterates=True).xs
+        assert (xs == 0.0).mean() > 0.5
+        for x in xs:
+            got = minimal_norm_subgradient(f, x)
+            assert got.tobytes() == _clip_subgradient(smooth.gradient(x), x, gamma).tobytes()
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0])
+    def test_bits_at_ties_and_signed_zeros(self, gamma):
+        # |g_i| == gamma exactly, g_i = +-0 and x_i = +-0, in every pairing,
+        # at widths that take both the scalar and the vector ufunc loops.
+        g_vals = [gamma, -gamma, 0.0, -0.0, 1.25, -1.25, 3.0, -3.0, np.nan, np.inf, -np.inf]
+        x_vals = [0.0, -0.0, 1.0, -2.0, np.nan]
+        g, x = (np.array(c, dtype=float) for c in zip(*[(a, b) for a in g_vals for b in x_vals]))
+        for width in (1, 3, len(g)):
+            for i in range(0, len(g), width):
+                gi, xi = g[i:i + width], x[i:i + width]
+                got = minimal_norm_subgradient(_given_gradient(gi, gamma), xi)
+                assert got.tobytes() == _clip_subgradient(gi.copy(), xi, gamma).tobytes()
+
 
 class TestL1WeightRule:
     def test_quadratic_rule(self):
@@ -221,20 +263,15 @@ class TestL1WeightRule:
 class TestLipschitzConstant:
     def test_quadratic_diagonal(self):
         obj = quadratic_objective(np.diag([2.0, 7.0]), np.zeros(2))
-        assert lipschitz_constant(obj) == pytest.approx(7.0, rel=1e-7)
+        assert obj.lipschitz == pytest.approx(7.0, rel=1e-7)
 
     def test_logistic_identity(self):
         obj = logistic_objective(np.eye(3), np.array([0.0, 1.0, 0.0]))
-        assert lipschitz_constant(obj) == pytest.approx(0.25, rel=1e-7)
+        assert obj.lipschitz == pytest.approx(0.25, rel=1e-7)
 
     def test_logsumexp_identity(self):
         obj = logsumexp_objective(np.eye(3), np.zeros(3), 2.0)
-        assert lipschitz_constant(obj) == pytest.approx(0.5, rel=1e-7)
-
-    def test_rejects_unknown_family(self):
-        plain = SmoothObjective(dim=1, value=lambda x: 0.0, gradient=lambda x: x * 0, lipschitz=1.0)
-        with pytest.raises(ValueError):
-            lipschitz_constant(plain)
+        assert obj.lipschitz == pytest.approx(0.5, rel=1e-7)
 
 
 class TestSharedInvariants:
