@@ -197,8 +197,8 @@ def _continuous_usage_error(args):
         return "--L must be at least --mu"
     if args.n < 1:
         return "--n must be >= 1"
-    if args.dt is not None and not args.dt > 0:
-        return "--dt must be positive"
+    if args.dt is not None and not 0 < args.dt < np.inf:
+        return "--dt must be positive and finite"
     if args.restarts < 1:
         return "--restarts must be >= 1"
     return None

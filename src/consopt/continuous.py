@@ -120,9 +120,10 @@ def default_time_step(obj: SmoothObjective) -> float:
 
 
 def _check_dt(dt: float) -> float:
-    """``dt``, or ValueError when it is not positive (zero, negative or NaN)."""
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    """``dt``, or ValueError when it is not positive and finite (zero,
+    negative, NaN or infinite)."""
+    if not 0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
     return dt
 
 
@@ -150,13 +151,15 @@ def _hermite(s: float, h: float, y0, d0, y1, d1):
 def _refine_event(grad, make_test, is_after, node_a, node_b, reltol):
     """Bisect an event bracket on Hermite interpolants of (x, v).
 
-    ``node_a``/``node_b`` are (t, x, v, a) at the bracketing integration
-    nodes, with ``is_after`` false at a and true at b.  The scalar test is
-    re-evaluated from the interpolated state with the exact gradient.
-    Returns (t, x, v, g) at the located event.
+    ``node_a``/``node_b`` are (t, x, v, g) at the bracketing integration
+    nodes, with g = grad f(x) and ``is_after`` false at a and true at b.
+    The velocity is interpolated with the accelerations -g of the two
+    nodes.  The scalar test is re-evaluated from the interpolated state
+    with the exact gradient.  Returns (t, x, v, g) at the located event.
     """
-    ta, xa, va, aa = node_a
-    tb, xb, vb, ab = node_b
+    ta, xa, va, ga = node_a
+    tb, xb, vb, gb = node_b
+    aa, ab = -ga, -gb
     lo, hi = ta, tb
     h = tb - ta
     t = 0.5 * (lo + hi)
@@ -186,28 +189,33 @@ def _refine_event(grad, make_test, is_after, node_a, node_b, reltol):
 def _verlet(grad, x0, v0, dt: float, n_steps: int, g0=None):
     """Stormer-Verlet nodes of x'' = -grad f(x) from (x0, v0).
 
-    Yields (i, t, x, v, g, a) at node 0 and after each of ``n_steps`` steps
-    of size ``dt``, with t = i dt, g = grad f(x) and a = -g.  ``g0``, when
-    given, is grad f(x0) already known to the caller.  Raises on the first
+    Yields (i, t, x, v, g, vv) at node 0 and after each of ``n_steps``
+    steps of size ``dt``, with t = i dt, g = grad f(x) and vv = v @ v.
+    ``g0``, when given, is grad f(x0) already known to the caller.  A step
+    makes one gradient call, and the half kick (dt/2) g of a node closes
+    the step into it and opens the step out of it.  Raises on the first
     non-finite state.
     """
     x = np.array(x0, dtype=float)
     v = np.array(v0, dtype=float)
     g = grad(x) if g0 is None else g0
-    a = -g
-    yield 0, 0.0, x, v, g, a
+    half = 0.5 * dt
+    hg = half * g
+    yield 0, 0.0, x, v, g, v @ v
     for i in range(1, n_steps + 1):
-        v_half = v + 0.5 * dt * a
+        v_half = v - hg
         x = x + dt * v_half
         g = grad(x)
-        a = -g
-        v = v_half + 0.5 * dt * a
+        hg = half * g
+        v = v_half - hg
         t = i * dt
-        # A non-finite entry makes the sum non-finite; a finite state can
-        # overflow it too, so only a failed screen is checked entry by entry.
-        if not math.isfinite(x.sum() + v.sum()) and not (np.isfinite(x).all() and np.isfinite(v).all()):
+        vv = v @ v
+        # A non-finite entry makes v @ v or x @ x non-finite; a finite state
+        # can overflow them too, so only a failed screen is checked entry by
+        # entry.
+        if not math.isfinite(vv + x @ x) and not (np.isfinite(x).all() and np.isfinite(v).all()):
             raise RuntimeError(f"non-finite state at t = {t:g}")
-        yield i, t, x, v, g, a
+        yield i, t, x, v, g, vv
 
 
 def integrate_conservative(
@@ -224,12 +232,12 @@ def integrate_conservative(
         raise ValueError("T must exceed dt")
     n_steps = int(np.ceil(T / dt))
     nodes = _verlet(obj.gradient, x0, v0, dt, n_steps)
-    _, t, x, v, _, _ = next(nodes)
-    h0 = 0.5 * float(v @ v) + obj.value(x)
+    _, t, x, v, _, vv = next(nodes)
+    h0 = 0.5 * vv + obj.value(x)
     drift = 0.0
     times, xs, vs = [t], [x], [v]
-    for i, t, x, v, _, _ in nodes:
-        drift = max(drift, abs(0.5 * float(v @ v) + obj.value(x) - h0))
+    for i, t, x, v, _, vv in nodes:
+        drift = max(drift, abs(0.5 * vv + obj.value(x) - h0))
         if i % record_every == 0 or i == n_steps:
             times.append(t)
             xs.append(x)
@@ -287,16 +295,18 @@ def _kin_test(t, x, v, g):
     return float(g @ v)
 
 
-def _scan_from_rest(obj, x0, g0, dt, cap, mode, reltol, record_stride=None):
-    """Integrate from rest at x0, where grad f is ``g0``, scanning for the
-    restart event of ``mode``.
+def _scan_from_rest(obj, x0, g0, dt, horizon, mode, reltol, samples=None, stride=1):
+    """Integrate from rest at x0 up to ``horizon``, yielding each restart
+    event of ``mode`` in turn.
 
-    Returns (event_state or None, arc_length, samples) where event_state is
-    (t, x, v, g) refined by bisection, arc_length is the curve length up to
-    the event (or the cap), and samples is a list of (t, x, v) at every
-    ``record_stride``-th node starting from node 0 (empty when
-    ``record_stride`` is None).  At node 0 the velocity is zero, so neither
-    test fires there.
+    ``g0`` is grad f(x0) when the caller already has it, else None.  Each
+    event is ((t, x, v, g), arc): the state refined by bisection and the
+    curve length from x0 to it.  After a kinetic event the test waits for
+    dE_K/dt > 0 again.  When ``samples`` is a list, the scan appends
+    (t, x, v) at every ``stride``-th node from node 0 as it moves on from
+    that node, so a node that fires is recorded only once the scan resumes
+    after its event.  At node 0 the velocity is zero, so neither test
+    fires there.
     """
     grad = obj.gradient
     x0 = np.asarray(x0, dtype=float)
@@ -307,28 +317,23 @@ def _scan_from_rest(obj, x0, g0, dt, cap, mode, reltol, record_stride=None):
     arc = 0.0
     armed = False  # kinetic mode: becomes true once dE_K/dt > 0 was seen
     prev, prev_speed = None, 0.0
-    samples = []
-    for i, t, x, v, g, a in _verlet(grad, x0, np.zeros_like(x0), dt, int(np.ceil(cap / dt)), g0):
-        speed = math.sqrt(v @ v)
+    for i, t, x, v, g, vv in _verlet(grad, x0, np.zeros_like(x0), dt, int(np.ceil(horizon / dt)), g0):
+        speed = math.sqrt(vv)
         q = float(g @ v)  # -dE_K/dt
         if mode == "mmd":
-            fire = (-t * q - 0.5 * speed * speed) < 0.0
+            fire = (-t * q - 0.5 * vv) < 0.0
         else:
             fire = armed and q >= 0.0
-            armed = armed or q < 0.0
+            armed = not fire and (armed or q < 0.0)
+        node = (t, x, v, g)
         if fire:
-            t_ev, x_ev, v_ev, g_ev = _refine_event(
-                grad, test, is_after, prev, (t, x, v, a), reltol
-            )
-            sp_ev = math.sqrt(v_ev @ v_ev)
-            arc += 0.5 * (t_ev - prev[0]) * (prev_speed + sp_ev)
-            return (t_ev, x_ev, v_ev, g_ev), arc, samples
+            state = _refine_event(grad, test, is_after, prev, node, reltol)
+            t_ev, _, v_ev, _ = state
+            yield state, arc + 0.5 * (t_ev - prev[0]) * (prev_speed + math.sqrt(v_ev @ v_ev))
         arc += 0.5 * dt * (prev_speed + speed)
-        if record_stride and i % record_stride == 0:
+        if samples is not None and i % stride == 0:
             samples.append((t, x, v))
-        prev = (t, x, v, a)
-        prev_speed = speed
-    return None, arc, samples
+        prev, prev_speed = node, speed
 
 
 def _event_from_state(obj, state, arc, t_offset=0.0) -> RestartEvent:
@@ -357,9 +362,9 @@ def _mmd_cap(obj, x0, dt, cap, f_star, g0):
         )
     # Bootstrap the finite-restart cap from 16 Verlet steps from rest, whose
     # first gradient g0 = grad f(x0) the caller already has.
-    for _, t1, _, v1, _, _ in _verlet(obj.gradient, x0, np.zeros_like(g0), dt, 16, g0):
+    for _, t1, _, _, _, vv1 in _verlet(obj.gradient, x0, np.zeros_like(g0), dt, 16, g0):
         pass
-    ek1 = 0.5 * float(v1 @ v1)
+    ek1 = 0.5 * vv1
     if ek1 <= 0.0:
         raise RuntimeError("kinetic energy vanished during the cap bootstrap")
     return finite_restart_cap(obj, x0, t1, ek1, f_star)
@@ -374,7 +379,7 @@ def _first_event(obj, x0, dt, cap, f_star, mode, reltol):
     if float(np.linalg.norm(g0)) == 0.0:
         raise ValueError("grad f(x0) = 0: the flow from rest is stationary")
     cap = _mmd_cap(obj, x0, dt, cap, f_star, g0)
-    state, arc, _ = _scan_from_rest(obj, x0, g0, dt, cap, mode, reltol)
+    state, arc = next(_scan_from_rest(obj, x0, g0, dt, cap, mode, reltol), (None, None))
     return (None if state is None else _event_from_state(obj, state, arc)), cap
 
 
@@ -437,22 +442,8 @@ def kinetic_energy_maxima(
     maximum: at each returned event t*dE_K/dt - E_K = -E_K < 0.
     """
     dt = default_time_step(obj) if dt is None else _check_dt(dt)
-    grad = obj.gradient
-    x0 = np.asarray(x0, dtype=float)
-    armed = False
-    events = []
-    prev = None
-    is_after = lambda val: val >= 0.0
-    for _, t, x, v, g, a in _verlet(grad, x0, np.zeros_like(x0), dt, int(np.ceil(horizon / dt))):
-        q = float(g @ v)  # zero at node 0, which starts at rest
-        if armed and q >= 0.0:
-            state = _refine_event(grad, _kin_test, is_after, prev, (t, x, v, a), reltol)
-            events.append(_event_from_state(obj, state, np.nan))
-            armed = False
-        elif q < 0.0:
-            armed = True
-        prev = (t, x, v, a)
-    return events
+    events = _scan_from_rest(obj, x0, None, dt, horizon, "kin", reltol)
+    return [_event_from_state(obj, state, np.nan) for state, _ in events]
 
 
 def run_piecewise_conservative(
@@ -505,8 +496,9 @@ def run_piecewise_conservative(
         if float(np.linalg.norm(g)) <= grad_floor:
             break
         seg_cap = _mmd_cap(obj, x, dt, cap, f_star, g)
-        stride = record_every or 8
-        state, arc, samples = _scan_from_rest(obj, x, g, dt, seg_cap, "mmd", reltol, record_stride=stride)
+        samples = []
+        scan = _scan_from_rest(obj, x, g, dt, seg_cap, "mmd", reltol, samples, record_every or 8)
+        state, arc = next(scan, (None, None))
         if state is None:
             raise RuntimeError(f"segment {seg}: no restart within the cap {seg_cap:g}")
         event = _event_from_state(obj, state, arc, t_offset=t_abs)

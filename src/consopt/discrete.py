@@ -175,8 +175,8 @@ class _Recorder:
 
 def symplectic_euler_step(obj: SmoothObjective, x: Array, v: Array, h: float):
     """One explicit symplectic Euler step: v' = v - h grad f(x), x' = x + h v'."""
-    if not h > 0:
-        raise ValueError("h must be positive")
+    if not 0 < h < math.inf:
+        raise ValueError("h must be positive and finite")
     v_new = v - h * obj.gradient(x)
     x_new = x + h * v_new
     return x_new, v_new
@@ -226,8 +226,8 @@ def _rcm_loop(value, oracle, L, x0, h, criterion, max_iter, keep_iterates, metho
     """
     if criterion not in RESTART_CRITERIA:
         raise ValueError(f"unknown restart criterion {criterion!r}")
-    if not h > 0:
-        raise ValueError("h must be positive")
+    if not 0 < h < math.inf:
+        raise ValueError("h must be positive and finite")
     if h >= np.sqrt(2.0 / L):
         warnings.warn(
             f"h = {h:g} is outside the convergence range h < sqrt(2/L) = "
@@ -285,8 +285,8 @@ def rcm_run(obj: SmoothObjective, x0, h: float, criterion: str, max_iter: int, k
 
 def gradient_descent_run(obj: SmoothObjective, x0, s: float, max_iter: int, keep_iterates: bool = False) -> Trace:
     """Plain gradient descent x_{k+1} = x_k - s grad f(x_k)."""
-    if not s > 0:
-        raise ValueError("s must be positive")
+    if not 0 < s < math.inf:
+        raise ValueError("s must be positive and finite")
     grad, fval = obj.gradient, obj.value
     x = np.array(x0, dtype=float)
     g = grad(x)
@@ -300,10 +300,10 @@ def gradient_descent_run(obj: SmoothObjective, x0, s: float, max_iter: int, keep
 
 
 def _check_step(s, L, who, stacklevel=3):
-    """Reject a gradient step that is not positive (NaN included) and warn,
+    """Reject a gradient step that is not positive and finite and warn,
     at the runner's caller, about one above 1/L."""
-    if not s > 0:
-        raise ValueError("s must be positive")
+    if not 0 < s < math.inf:
+        raise ValueError("s must be positive and finite")
     if s > 1.0 / L:
         warnings.warn(f"{who}: s = {s:g} exceeds 1/L = {1.0 / L:g}", stacklevel=stacklevel)
 

@@ -148,8 +148,8 @@ class ExperimentConfig:
             raise ValueError("base_seed must be >= 0")
         for name in ("h", "s"):
             step = getattr(self, name)
-            if step is not None and not step > 0:
-                raise ValueError(f"{name} must be positive")
+            if step is not None and not 0 < step < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         methods = tuple(self.methods) or DEFAULT_METHODS[(self.problem, self.l1)]
         object.__setattr__(self, "methods", methods)
         for name in methods:

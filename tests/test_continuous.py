@@ -109,11 +109,22 @@ class TestIntegrator:
         assert len(nodes) == 4
         assert np.all(np.isfinite(nodes[-1][2])) and np.all(np.isfinite(nodes[-1][3]))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_state_raises(self, bad):
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize(
+        "bad, x0, v0, dt",
+        [
+            pytest.param(np.nan, [1.0, 1.0], [1.0, 1.0], 1.0, id="nan"),
+            pytest.param(np.inf, [1.0, 1.0], [1.0, 1.0], 1.0, id="inf"),
+            # only x overflows; v and the gradient stay finite
+            pytest.param(0.0, [1.7e308, 0.0], [1e308, 0.0], 1.0, id="x-overflow"),
+            # x overflows while v @ v stays finite, so the screen must read x
+            pytest.param(0.0, [1.0, 0.0], [1e110, 0.0], 1e200, id="x-overflow-finite-vv"),
+        ],
+    )
+    def test_non_finite_state_raises(self, bad, x0, v0, dt):
         grad = lambda x: np.array([0.0, bad]) if x[0] > 1.5 else np.zeros(2)
         with pytest.raises(RuntimeError, match="non-finite state"):
-            list(_verlet(grad, np.ones(2), np.ones(2), 1.0, 4))
+            list(_verlet(grad, x0, v0, dt, 2))
 
     def test_strictly_increasing_times_enforced(self):
         from consopt.continuous import ContinuousTrajectory
@@ -133,7 +144,7 @@ DT_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("dt", [0.0, -0.01, np.nan])
+@pytest.mark.parametrize("dt", [0.0, -0.01, np.nan, np.inf])
 @pytest.mark.parametrize("entry", sorted(DT_ENTRY_POINTS))
 def test_rejects_non_positive_dt(entry, dt):
     obj = quadratic_objective(np.diag([1.0, 2.0]), np.zeros(2))
@@ -318,6 +329,8 @@ class TestPiecewise:
         result = run_piecewise_conservative(counted, x0, dt=0.01, n_restarts=3, f_star=f_star)
         assert len(result.segments) == 3
         assert not any(np.array_equal(a, b) for a, b in zip(points, points[1:]))
+        # the exact oracle work of the flow, so a leaner step cannot do less
+        assert len(points) == {"mu": 403, "f_star": 720}[cap_from]
 
 
 class TestVisitingTime:

@@ -381,34 +381,44 @@ def test_nan_start_diverges_at_iteration_zero(runner):
     assert info.value.partial_trace.final_state.iter == 0
 
 
-# Every runner and the symplectic Euler step, each given a NaN step (or a
-# NaN mu, for NAG-SC), and the message it rejects that value with.
-NAN_PARAMETER_RUNNERS = {
-    "gd": (lambda q, c, x0: gradient_descent_run(q, x0, np.nan, 5), "s must be positive"),
-    "nag-c": (lambda q, c, x0: nag_c_run(q, x0, np.nan, 5), "s must be positive"),
-    "nag-sc": (lambda q, c, x0: nag_sc_run(q, x0, np.nan, 0.5, 5), "s must be positive"),
-    "nag-sc-mu": (lambda q, c, x0: nag_sc_run(q, x0, 0.1, np.nan, 5), "mu must be positive"),
-    "nag-c-restart": (lambda q, c, x0: nag_c_restart_run(q, x0, np.nan, 5), "s must be positive"),
-    "rcm": (lambda q, c, x0: rcm_run(q, x0, np.nan, "grad", 5), "h must be positive"),
-    "fista": (lambda q, c, x0: fista_run(c, x0, np.nan, 5), "s must be positive"),
-    "fista-restart": (lambda q, c, x0: fista_restart_run(c, x0, np.nan, 5), "s must be positive"),
-    "rcm-comp": (lambda q, c, x0: rcm_comp_run(c, x0, np.nan, "grad", 5), "h must be positive"),
-    "symplectic-euler": (lambda q, c, x0: symplectic_euler_step(q, x0, np.zeros_like(x0), np.nan),
+# Every runner and the symplectic Euler step, each given a bad step (or a
+# bad mu, for NAG-SC), and the message it rejects that value with.
+BAD_PARAMETER_RUNNERS = {
+    "gd": (lambda q, c, x0, bad: gradient_descent_run(q, x0, bad, 5), "s must be positive"),
+    "nag-c": (lambda q, c, x0, bad: nag_c_run(q, x0, bad, 5), "s must be positive"),
+    "nag-sc": (lambda q, c, x0, bad: nag_sc_run(q, x0, bad, 0.5, 5), "s must be positive"),
+    "nag-sc-mu": (lambda q, c, x0, bad: nag_sc_run(q, x0, 0.1, bad, 5), "mu must be positive"),
+    "nag-c-restart": (lambda q, c, x0, bad: nag_c_restart_run(q, x0, bad, 5), "s must be positive"),
+    "rcm": (lambda q, c, x0, bad: rcm_run(q, x0, bad, "grad", 5), "h must be positive"),
+    "fista": (lambda q, c, x0, bad: fista_run(c, x0, bad, 5), "s must be positive"),
+    "fista-restart": (lambda q, c, x0, bad: fista_restart_run(c, x0, bad, 5), "s must be positive"),
+    "rcm-comp": (lambda q, c, x0, bad: rcm_comp_run(c, x0, bad, "grad", 5), "h must be positive"),
+    "symplectic-euler": (lambda q, c, x0, bad: symplectic_euler_step(q, x0, np.zeros_like(x0), bad),
                          "h must be positive"),
 }
 
 
-@pytest.mark.parametrize("runner", sorted(NAN_PARAMETER_RUNNERS))
-def test_nan_step_is_rejected_before_any_oracle_call(runner):
+def _assert_rejected_before_any_oracle_call(runner, bad):
     calls = []
     q = quadratic_objective(np.diag([0.5, 1.0, 2.0]), np.ones(3))
     q = replace(q, value=lambda x, f=q.value: calls.append("value") or f(x),
                 gradient=lambda x, g=q.gradient: calls.append("gradient") or g(x))
     c = CompositeObjective(smooth=q, l1_weight=0.1)
-    run, message = NAN_PARAMETER_RUNNERS[runner]
+    run, message = BAD_PARAMETER_RUNNERS[runner]
     with pytest.raises(ValueError, match=message):
-        run(q, c, np.ones(3))
+        run(q, c, np.ones(3), bad)
     assert calls == []
+
+
+@pytest.mark.parametrize("runner", sorted(BAD_PARAMETER_RUNNERS))
+def test_nan_step_is_rejected_before_any_oracle_call(runner):
+    _assert_rejected_before_any_oracle_call(runner, np.nan)
+
+
+# An infinite mu already fails NAG-SC's mu * s <= 1 check, with its own message.
+@pytest.mark.parametrize("runner", sorted(set(BAD_PARAMETER_RUNNERS) - {"nag-sc-mu"}))
+def test_infinite_step_is_rejected_before_any_oracle_call(runner):
+    _assert_rejected_before_any_oracle_call(runner, np.inf)
 
 
 def _plain_fista(f, x0, s, max_iter, restart):

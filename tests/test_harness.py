@@ -90,7 +90,9 @@ class TestConfig:
         with pytest.raises(ValueError, match="composite"):
             ExperimentConfig(problem="quadratic", l1=True, methods=("gd",))
 
-    @pytest.mark.parametrize("field, value", [("h", 0.0), ("s", -1.0), ("h", float("nan"))])
+    @pytest.mark.parametrize(
+        "field, value", [("h", 0.0), ("s", -1.0), ("h", float("nan")), ("h", float("inf")), ("s", float("inf"))]
+    )
     def test_rejects_non_positive_step(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be positive"):
             ExperimentConfig(problem="quadratic", **{field: value})
@@ -301,7 +303,7 @@ class TestCli:
         for args in (["mmd-bounds", "--mu", "0"], ["visiting-time", "--mu", "-1"], ["small-time", "--mu", "nan"],
                      ["conv-cont", "--mu", "2", "--L", "1"], ["mmd-bounds", "--L", "nan"],
                      ["mmd-bounds", "--n", "0"], ["mmd-bounds", "--dt", "0"], ["conv-cont", "--dt", "-0.01"],
-                     ["kinetic-1d", "--dt", "nan"], ["conv-cont", "--restarts", "0"],
+                     ["kinetic-1d", "--dt", "nan"], ["mmd-bounds", "--dt", "inf"], ["conv-cont", "--restarts", "0"],
                      ["length", "--restarts", "0"]):
             with pytest.raises(SystemExit) as info:
                 cli_main(["continuous", *args])
