@@ -190,11 +190,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _continuous_usage_error(args):
     """What is wrong with the options of ``consopt continuous``, or None.
     ``kinetic-1d`` and ``visiting-time`` read only ``--mu``, so only the
-    other checks need ``--L >= --mu``."""
-    if not args.mu > 0:
-        return "--mu must be positive"
-    if args.check not in ("kinetic-1d", "visiting-time") and not args.L >= args.mu:
-        return "--L must be at least --mu"
+    other checks need a finite ``--L >= --mu``."""
+    if not 0 < args.mu < np.inf:
+        return "--mu must be positive and finite"
+    if args.check not in ("kinetic-1d", "visiting-time"):
+        if not args.L < np.inf:
+            return "--L must be positive and finite"
+        if not args.L >= args.mu:
+            return "--L must be at least --mu"
     if args.n < 1:
         return "--n must be >= 1"
     if args.dt is not None and not 0 < args.dt < np.inf:

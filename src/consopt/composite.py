@@ -86,22 +86,26 @@ def fista_run(f: CompositeObjective, x0, s: float, max_iter: int, keep_iterates:
     return _fista(f, x0, s, max_iter, restart=False, keep_iterates=keep_iterates)
 
 
-def fista_restart_run(f: CompositeObjective, x0, s: float, max_iter: int, keep_iterates: bool = False) -> Trace:
+def fista_restart_run(f: CompositeObjective, x0, s: float, max_iter: int, keep_iterates: bool = False,
+                      *, _stop=None) -> Trace:
     """FISTA with the adaptive gradient restart.
 
     When (y_k - x_k) . (x_k - x_{k-1}) > 0 the momentum is discarded:
     t resets to 1 and y to x_k.
     """
-    return _fista(f, x0, s, max_iter, restart=True, keep_iterates=keep_iterates)
+    return _fista(f, x0, s, max_iter, restart=True, keep_iterates=keep_iterates, stop=_stop)
 
 
-def _fista(f, x0, s, max_iter, restart, keep_iterates):
+def _fista(f, x0, s, max_iter, restart, keep_iterates, stop=None):
     """The FISTA loop, with or without the adaptive restart.
 
     Once a prox step returns its previous iterate from a y equal to that
     iterate (compared by value), the restart test cannot fire and every
     later iteration repeats it exactly, so the remaining rows are written
-    as copies of the last one without further oracle calls.
+    as copies of the last one without further oracle calls.  ``stop(x, f)``,
+    when given, sees every later iterate and its value, and the run ends,
+    without filling its remaining rows, at the first one where it returns
+    True.
     """
     method = "fista-restart" if restart else "fista"
     _check_step(s, f.smooth.lipschitz, method, stacklevel=4)
@@ -133,6 +137,8 @@ def _fista(f, x0, s, max_iter, restart, keep_iterates):
         # off nearly every other iteration.
         if rec.fvals[-1] == rec.fvals[-2] and not dx.any() and np.array_equal(y_prev, x_prev):
             rec.fill(max_iter)
+            break
+        if stop is not None and stop(x, rec.fvals[-1]):
             break
 
     return rec.trace(x)

@@ -223,6 +223,14 @@ def _rcm_loop(value, oracle, L, x0, h, criterion, max_iter, keep_iterates, metho
     returns the new iterate and whether a coordinate crossed zero; a
     crossing zeroes the whole velocity and moves the bookkeeping index l to
     k + 1, and the trace records a ``crossings`` column.
+
+    Once a row is at rest, v = 0 and a trial step v - h g, x + h v that
+    reproduces v and x bit for bit, every later iteration repeats it
+    exactly, so the remaining rows are written as copies of it without
+    further oracle calls: the oracle sees the same x and returns the same
+    g, each test of the four criteria reads 0 > 0 or 0 < 0, so none fires,
+    and no coordinate changes sign, so none crosses.  Bits, not values, are
+    compared so that a signed zero that would flip does not count as rest.
     """
     if criterion not in RESTART_CRITERIA:
         raise ValueError(f"unknown restart criterion {criterion!r}")
@@ -265,6 +273,12 @@ def _rcm_loop(value, oracle, L, x0, h, criterion, max_iter, keep_iterates, metho
         # Without a crossing, x is the point g_new was evaluated at.
         g = oracle(x) if g_new is None or crossed else g_new
         rec.add(k + 1, value(x), math.sqrt(g @ g), fire, x, v, l, crossed)
+        # A state at rest repeats f; comparing f first keeps the array
+        # tests off nearly every other iteration.
+        if (rec.fvals[-1] == rec.fvals[-2] and not v.any()
+                and (v - h * g).tobytes() == v.tobytes() and (x + h * v).tobytes() == x.tobytes()):
+            rec.fill(max_iter)
+            break
 
     return rec.trace(x, v, l)
 
@@ -277,7 +291,9 @@ def rcm_run(obj: SmoothObjective, x0, h: float, criterion: str, max_iter: int, k
     step and queries the restart criterion.  On a restart it replaces the
     trial with the step from rest x' = x - h^2 grad f(x), takes the new
     velocity -h grad f(x') from the gradient at the post-restart point, and
-    resets the bookkeeping index l.
+    resets the bookkeeping index l.  A run that comes to rest (v = 0 and
+    h grad f(x) = 0) repeats its state exactly from there, so its remaining
+    rows are copies written without oracle calls.
     """
     return _rcm_loop(obj.value, obj.gradient, obj.lipschitz, x0, h, criterion, max_iter, keep_iterates,
                      f"rcm-{criterion}")

@@ -1,11 +1,14 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from consopt.composite import fista_restart_run, fista_run, prox_l1, rcm_comp_run
+from consopt.composite import fista_restart_run, fista_run, prox_l1, rcm_comp_run, sign_crossing_projection
 from consopt.discrete import (
+    RESTART_CRITERIA,
     DivergenceError,
+    _Recorder,
     gradient_descent_run,
     nag_c_restart_run,
     nag_c_run,
@@ -15,6 +18,7 @@ from consopt.discrete import (
     should_restart,
     symplectic_euler_step,
 )
+from consopt.harness import ExperimentConfig, build_instance
 from consopt.objectives import (
     CompositeObjective,
     gen_logistic_instance,
@@ -507,3 +511,103 @@ def test_fixed_point_rows_are_copies_made_without_oracle_calls(method):
     assert trace.final_state.x.tobytes() == xs[-1].tobytes()
     assert trace.final_state.iter == max_iter
     assert calls[0] < max_iter
+
+
+def _rcm_loop_without_stop(value, oracle, x0, h, criterion, max_iter, method, project=None):
+    """The conservative loop of ``discrete._rcm_loop`` without its at-rest
+    stop, run to ``max_iter`` with iterates kept.  Returns the trace and,
+    for each row, the number of oracle calls made before it was recorded."""
+    calls = [0]
+
+    def counted(x):
+        calls[0] += 1
+        return oracle(x)
+
+    needs_trial = criterion in ("grad", "mmd-dr")
+    crossed = None if project is None else False
+    x = np.array(x0, dtype=float)
+    v = np.zeros_like(x)
+    g = counted(x)
+    l = 0
+    rec = _Recorder(method, h, True)
+    rec.add(0, value(x), math.sqrt(g @ g), False, x, v, l, crossed)
+    calls_at_row = [calls[0]]
+    for k in range(max_iter):
+        v_trial = v - h * g
+        x_trial = x + h * v_trial
+        g_trial = counted(x_trial) if needs_trial else None
+        fire = k - l >= 1 and should_restart(criterion, v, v_trial, g_trial, k, l)
+        if fire:
+            x_new = x - (h * h) * g
+            g_new = counted(x_new)
+            v_new = -h * g_new
+            l = k
+        else:
+            x_new, v_new, g_new = x_trial, v_trial, g_trial
+        if project is not None:
+            x_new, crossed = project(x, x_new)
+            if crossed:
+                v_new = np.zeros_like(v_new)
+                l = k + 1
+        x, v = x_new, v_new
+        g = counted(x) if g_new is None or crossed else g_new
+        rec.add(k + 1, value(x), math.sqrt(g @ g), fire, x, v, l, crossed)
+        calls_at_row.append(calls[0])
+    return rec.trace(x, v, l), calls_at_row
+
+
+def _columns(trace):
+    """Every column of a Trace and its final state, as (dtype, shape, bytes)."""
+    s = trace.final_state
+    cols = {c: getattr(trace, c) for c in
+            ("iters", "fvals", "residuals", "restarts", "restart_origin", "crossings", "xs", "vs")}
+    cols.update(method=trace.method, step=trace.step, x=s.x, v=s.v, iter=s.iter, last_restart=s.last_restart)
+    return {k: a if a is None or isinstance(a, str) else (np.asarray(a).dtype.str, np.shape(a), np.asarray(a).tobytes())
+            for k, a in cols.items()}
+
+
+@pytest.mark.parametrize("criterion", RESTART_CRITERIA)
+@pytest.mark.parametrize("runner", ["rcm_run", "rcm_comp_run"])
+def test_at_rest_rows_are_copies_made_without_oracle_calls(runner, criterion):
+    # Both instances come to rest (v = 0 and h g = 0) well before max_iter:
+    # 2 ||x||^2 at h = 1/2 after a restart, which leaves v = -0.0, and an
+    # l1-logistic instance of the logistic-l1 benchmark at rows 58-68.  The
+    # runner then stops calling the oracle, and every column still matches
+    # the loop run to the end.
+    if runner == "rcm_run":
+        obj = quadratic_objective(4.0 * np.eye(3), np.zeros(3))
+        x0, h, max_iter = np.array([1.0, -0.5, 2.0]), 0.5, 50
+        counted, calls = _counted(obj)
+        trace = rcm_run(counted, x0, h, criterion, max_iter, keep_iterates=True)
+        ref, calls_at_row = _rcm_loop_without_stop(obj.value, obj.gradient, x0, h, criterion, max_iter,
+                                                   f"rcm-{criterion}")
+    else:
+        f, x0 = build_instance(ExperimentConfig(problem="logistic", l1=True, n=50, m=200, base_seed=70002), 0)
+        h, max_iter = 1.0 / np.sqrt(f.smooth.lipschitz), 1000
+        counted, calls = _counted(f.smooth)
+        trace = rcm_comp_run(replace(f, smooth=counted), x0, h, criterion, max_iter, keep_iterates=True)
+        ref, calls_at_row = _rcm_loop_without_stop(f.value, lambda x: minimal_norm_subgradient(f, x), x0, h,
+                                                   criterion, max_iter, f"rcm-comp-{criterion}",
+                                                   sign_crossing_projection)
+    assert _columns(trace) == _columns(ref)
+    # The stopped run made exactly the calls the full loop had made when it
+    # recorded the stop row, and from that row on the full loop only
+    # repeats it.
+    stop = calls_at_row.index(calls[0])
+    assert stop < 100 and calls[0] < calls_at_row[-1]
+    assert not ref.restarts[stop + 1:].any() and not ref.vs[stop:].any()
+    assert ref.xs[stop:].tobytes() == np.tile(ref.xs[stop], (max_iter + 1 - stop, 1)).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:h = 1 is outside the convergence range")
+@pytest.mark.parametrize("criterion", RESTART_CRITERIA)
+def test_zero_velocity_with_a_nonzero_step_is_not_at_rest(criterion):
+    # On f = x^2 - x at h = 1 the mmd-dr run returns to x = 1 with v = 0
+    # and f repeated at row 2, but h g = 1 there, so the run goes on.
+    obj = quadratic_objective(np.array([[2.0]]), np.array([-1.0]))
+    counted, calls = _counted(obj)
+    trace = rcm_run(counted, np.zeros(1), 1.0, criterion, 20, keep_iterates=True)
+    ref, calls_at_row = _rcm_loop_without_stop(obj.value, obj.gradient, np.zeros(1), 1.0, criterion, 20,
+                                               f"rcm-{criterion}")
+    assert _columns(trace) == _columns(ref)
+    assert calls[0] == calls_at_row[-1]

@@ -39,7 +39,7 @@ GOLDEN = {
     "csv-quadratic": "ca329359259067b4d433fe70440eda2569ec12cc1beb38d8f5fce6f7df3e0e2b",
     "csv-quadratic-l1": "11889a5c829cbd71e0b2967b360cb786a884f98856fc5fa96510ffb7f3a5cbae",
     "csv-logistic": "155e49928b7f3a29e200b4e6bfad4e82ea50d510edd58daaa237c37c96e4e723",
-    "csv-logistic-l1": "97ee2be16f3bb09cdd1958fd9b501f1cf6934121e375dd9f6cd065a4e2893566",
+    "csv-logistic-l1": "188640b93abd104e79a93613afaa37aacb7c9266dd31e2d076e56e4945a8727e",
     "csv-logsumexp": "1efc48e33da9c8549f81f57164c00fdf3838df9b410bff3da9ed1e54865cc920",
     "csv-logsumexp-l1": "a94bcccd56b6de6b2fb86d57a548e91b65502e78110e9c8cd9930fb535850f2f",
     "integrate-conservative": "e88c19747ea44466a9c59cd8fac2b429f901ede9e8e15a9dcd8e077e304ac2fd",
