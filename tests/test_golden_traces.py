@@ -2,9 +2,9 @@
 
 Each case hashes exact output bytes on fixed seeds: the CSV that
 ``write_csv`` writes for a small family and for the quadratic family at the
-benchmark's size, every column of the restart loops' traces, the raw
-arrays of an integrated trajectory, and the floats of restart events and
-bound reports.  A change that alters any trace by even one ulp changes a
+benchmark's size, every column of the restart and Nesterov loops' traces,
+the raw arrays of an integrated trajectory, and the floats of restart
+events and bound reports.  A change that alters any trace by even one ulp changes a
 digest.  When a change is meant to alter traces, the new digests go in
 with an explanation of the difference in CHANGES.md.
 """
@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from consopt.continuous import (
     kinetic_max_restart_time,
     run_piecewise_conservative,
 )
-from consopt.discrete import RESTART_CRITERIA, DivergenceError, rcm_run
+from consopt.discrete import RESTART_CRITERIA, DivergenceError, nag_c_restart_run, nag_c_run, nag_sc_run, rcm_run
 from consopt.harness import ExperimentConfig, build_instance, run_experiment, write_csv
 from consopt.objectives import CompositeObjective, gen_random_quadratic, quadratic_objective
 
@@ -44,6 +45,7 @@ GOLDEN = {
     "csv-logsumexp-l1": "a94bcccd56b6de6b2fb86d57a548e91b65502e78110e9c8cd9930fb535850f2f",
     "integrate-conservative": "e88c19747ea44466a9c59cd8fac2b429f901ede9e8e15a9dcd8e077e304ac2fd",
     "kinetic-energy-maxima": "527551dca9a6f133e9531d9d65bb7ecd59bf6394599d98ed04d66f47bf3989e1",
+    "nesterov-traces": "022402632018302dd8c5cd15dc9ef914a2ad737a4969f6e90a81084638da1821",
     "piecewise-conservative": "c3faacf103d042b95f30aa69631f6bcdf0e5863c10377b8b3dd6eb638296a627",
     "rcm-traces": "d713a93cf5ee4616267b47ee723ee1a61b875e3b7889ee47da8fe6c8c784a763",
 }
@@ -124,6 +126,40 @@ def _rcm_traces():
     return _sha(*[c for t in traces for c in _trace_bytes(t)])
 
 
+def _nesterov_traces():
+    traces = []
+    for seed in (7, 8, 9):
+        quad, x0 = _quadratic(8, seed)
+        s = 1.0 / quad.lipschitz
+        traces.append(nag_c_run(quad, x0, s, 150, keep_iterates=True))
+        traces.append(nag_sc_run(quad, x0, s, quad.strong_convexity / 3.0, 150, keep_iterates=True))
+        traces.append(nag_c_restart_run(quad, x0, s, 150, keep_iterates=True))
+    # The pin must see restarts, not only plain steps.
+    assert all(t.restarts.any() for t in traces[2::3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for run in (nag_c_run, nag_c_restart_run):
+            with pytest.raises(DivergenceError) as info:
+                run(quad, x0, 3.5 * s, 500, keep_iterates=True)
+            traces.append(info.value.partial_trace)
+    # Both loops reach an exact fixed point on this instance and stop
+    # calling the gradient well before max_iter.
+    quad = gen_random_quadratic(6, 0.5, 2.0, 2)
+    x0 = np.random.default_rng([2, 1]).standard_normal(6)
+    s = 1.0 / quad.lipschitz
+    calls = [0]
+
+    def gradient(x, inner=quad.gradient):
+        calls[0] += 1
+        return inner(x)
+
+    counted = replace(quad, gradient=gradient)
+    traces.append(nag_sc_run(counted, x0, s, quad.strong_convexity, 500, keep_iterates=True))
+    traces.append(nag_c_restart_run(counted, x0, s, 500, keep_iterates=True))
+    assert calls[0] < 500
+    return _sha(*[c for t in traces for c in _trace_bytes(t)])
+
+
 def _event_bytes(events):
     return [np.array([e.time, e.time_abs, e.kinetic_energy, e.f_value, e.arc_length]) for e in events] + [
         np.concatenate([e.x, e.v]) for e in events
@@ -159,6 +195,7 @@ def test_golden_digest(name, tmp_path):
         digest = {
             "integrate-conservative": _integrate_conservative,
             "kinetic-energy-maxima": _kinetic_energy_maxima,
+            "nesterov-traces": _nesterov_traces,
             "piecewise-conservative": _piecewise_conservative,
             "rcm-traces": _rcm_traces,
         }[name]()
