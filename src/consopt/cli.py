@@ -25,17 +25,6 @@ from .harness import (
 )
 from .objectives import quadratic_objective
 
-CONTINUOUS_CHECKS = (
-    "mmd-bounds",
-    "kinetic-1d",
-    "conv-cont",
-    "length",
-    "small-time",
-    "quad-decrease",
-    "visiting-time",
-)
-
-
 def _diag_quadratic(mu, L, n):
     lams = np.linspace(mu, L, n) if n > 1 else np.array([mu])
     return quadratic_objective(np.diag(lams), np.zeros(n)), np.ones(n), lams
@@ -116,6 +105,17 @@ def _check_visiting_time(args):
     }
 
 
+CONTINUOUS_CHECKS = {
+    "mmd-bounds": _check_mmd_bounds,
+    "kinetic-1d": _check_kinetic_1d,
+    "conv-cont": _check_conv_cont,
+    "length": lambda a: _check_conv_cont(a, length_only=True),
+    "small-time": _check_small_time,
+    "quad-decrease": _check_quad_decrease,
+    "visiting-time": _check_visiting_time,
+}
+
+
 def _bench_config(args):
     return ExperimentConfig(
         problem=args.problem,
@@ -140,16 +140,7 @@ def _cmd_bench(args):
 
 
 def _cmd_continuous(args):
-    dispatch = {
-        "mmd-bounds": _check_mmd_bounds,
-        "kinetic-1d": _check_kinetic_1d,
-        "conv-cont": _check_conv_cont,
-        "length": lambda a: _check_conv_cont(a, length_only=True),
-        "small-time": _check_small_time,
-        "quad-decrease": _check_quad_decrease,
-        "visiting-time": _check_visiting_time,
-    }
-    report = dispatch[args.check](args)
+    report = CONTINUOUS_CHECKS[args.check](args)
     text = json.dumps(report, indent=2)
     print(text)
     if args.out:
@@ -190,7 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _continuous_usage_error(args):
     """What is wrong with the options of ``consopt continuous``, or None.
     ``kinetic-1d`` and ``visiting-time`` read only ``--mu``, so only the
-    other checks need a finite ``--L >= --mu``."""
+    other checks need a finite ``--L >= --mu``, and those that read the
+    restart-time bound need it positive and finite, not overflowed."""
     if not 0 < args.mu < np.inf:
         return "--mu must be positive and finite"
     if args.check not in ("kinetic-1d", "visiting-time"):
@@ -198,6 +190,11 @@ def _continuous_usage_error(args):
             return "--L must be positive and finite"
         if not args.L >= args.mu:
             return "--L must be at least --mu"
+    if args.check in ("mmd-bounds", "conv-cont", "length"):
+        with np.errstate(over="ignore", divide="ignore"):
+            bound = cont.restart_time_upper_bound(args.mu, args.L)
+        if not 0 < bound < np.inf:
+            return f"--mu and --L give a restart-time bound of {bound:g}; it must be positive and finite"
     if args.n < 1:
         return "--n must be >= 1"
     if args.dt is not None and not 0 < args.dt < np.inf:

@@ -15,7 +15,8 @@ import math
 import numpy as np
 
 from .discrete import Trace, _check_step, _rcm_loop, _Recorder
-# Kept importable from here; rcm_comp_run calls it through discrete._rcm_loop.
+# Not called here (rcm_comp_run reaches it through discrete._rcm_loop), but
+# bench/spans.py patches this attribute to trace the restart test.
 from .discrete import should_restart  # noqa: F401
 from .objectives import CompositeObjective, minimal_norm_subgradient
 

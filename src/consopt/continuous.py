@@ -25,7 +25,7 @@ from typing import Callable, List, Optional
 import numpy as np
 from scipy.integrate import quad
 
-from .objectives import SmoothObjective
+from .objectives import QuadraticObjective, SmoothObjective, _quadratic_min_value
 
 Array = np.ndarray
 
@@ -148,14 +148,15 @@ def _hermite(s: float, h: float, y0, d0, y1, d1):
     )
 
 
-def _refine_event(grad, make_test, is_after, node_a, node_b, reltol):
+def _refine_event(grad, make_test, is_after, node_a, node_b):
     """Bisect an event bracket on Hermite interpolants of (x, v).
 
     ``node_a``/``node_b`` are (t, x, v, g) at the bracketing integration
     nodes, with g = grad f(x) and ``is_after`` false at a and true at b.
     The velocity is interpolated with the accelerations -g of the two
     nodes.  The scalar test is re-evaluated from the interpolated state
-    with the exact gradient.  Returns (t, x, v, g) at the located event.
+    with the exact gradient until the bracket is ``EVENT_TIME_RELTOL``
+    narrow.  Returns (t, x, v, g) at the located event.
     """
     ta, xa, va, ga = node_a
     tb, xb, vb, gb = node_b
@@ -164,7 +165,7 @@ def _refine_event(grad, make_test, is_after, node_a, node_b, reltol):
     h = tb - ta
     t = 0.5 * (lo + hi)
     x = v = g = None
-    while hi - lo > reltol * max(hi, 1e-300):
+    while hi - lo > EVENT_TIME_RELTOL * max(hi, 1e-300):
         t = 0.5 * (lo + hi)
         s = (t - ta) / h
         x = _hermite(s, h, xa, va, xb, vb)
@@ -295,7 +296,7 @@ def _kin_test(t, x, v, g):
     return float(g @ v)
 
 
-def _scan_from_rest(obj, x0, g0, dt, horizon, mode, reltol, samples=None, stride=1):
+def _scan_from_rest(obj, x0, g0, dt, horizon, mode, samples=None, stride=1):
     """Integrate from rest at x0 up to ``horizon``, yielding each restart
     event of ``mode`` in turn.
 
@@ -327,7 +328,7 @@ def _scan_from_rest(obj, x0, g0, dt, horizon, mode, reltol, samples=None, stride
             armed = not fire and (armed or q < 0.0)
         node = (t, x, v, g)
         if fire:
-            state = _refine_event(grad, test, is_after, prev, node, reltol)
+            state = _refine_event(grad, test, is_after, prev, node)
             t_ev, _, v_ev, _ = state
             yield state, arc + 0.5 * (t_ev - prev[0]) * (prev_speed + math.sqrt(v_ev @ v_ev))
         arc += 0.5 * dt * (prev_speed + speed)
@@ -370,7 +371,7 @@ def _mmd_cap(obj, x0, dt, cap, f_star, g0):
     return finite_restart_cap(obj, x0, t1, ek1, f_star)
 
 
-def _first_event(obj, x0, dt, cap, f_star, mode, reltol):
+def _first_event(obj, x0, dt, cap, f_star, mode):
     """First restart event of ``mode`` on the flow from rest at x0, or None
     when the scan reaches the cap; also returns the cap."""
     dt = default_time_step(obj) if dt is None else _check_dt(dt)
@@ -379,7 +380,7 @@ def _first_event(obj, x0, dt, cap, f_star, mode, reltol):
     if float(np.linalg.norm(g0)) == 0.0:
         raise ValueError("grad f(x0) = 0: the flow from rest is stationary")
     cap = _mmd_cap(obj, x0, dt, cap, f_star, g0)
-    state, arc = next(_scan_from_rest(obj, x0, g0, dt, cap, mode, reltol), (None, None))
+    state, arc = next(_scan_from_rest(obj, x0, g0, dt, cap, mode), (None, None))
     return (None if state is None else _event_from_state(obj, state, arc)), cap
 
 
@@ -389,7 +390,6 @@ def mmd_restart_time(
     dt: Optional[float] = None,
     cap: Optional[float] = None,
     f_star: Optional[float] = None,
-    reltol: float = EVENT_TIME_RELTOL,
 ) -> RestartEvent:
     """First local maximum of the mean dissipation E_K(t)/t from rest.
 
@@ -401,7 +401,7 @@ def mmd_restart_time(
     explicitly).  Failing to find the event within the cap raises, since it
     would contradict the restart-time bound.
     """
-    event, cap = _first_event(obj, x0, dt, cap, f_star, "mmd", reltol)
+    event, cap = _first_event(obj, x0, dt, cap, f_star, "mmd")
     if event is None:
         raise RuntimeError(
             f"no mean-dissipation maximum within the cap {cap:g}; this "
@@ -416,7 +416,6 @@ def kinetic_max_restart_time(
     dt: Optional[float] = None,
     cap: Optional[float] = None,
     f_star: Optional[float] = None,
-    reltol: float = EVENT_TIME_RELTOL,
 ) -> Optional[RestartEvent]:
     """First local maximum of the kinetic energy from rest, or None.
 
@@ -426,7 +425,7 @@ def kinetic_max_restart_time(
     frequencies), so reaching the cap without an event returns None rather
     than raising.
     """
-    return _first_event(obj, x0, dt, cap, f_star, "kin", reltol)[0]
+    return _first_event(obj, x0, dt, cap, f_star, "kin")[0]
 
 
 def kinetic_energy_maxima(
@@ -434,7 +433,6 @@ def kinetic_energy_maxima(
     x0,
     horizon: float,
     dt: Optional[float] = None,
-    reltol: float = EVENT_TIME_RELTOL,
 ) -> List[RestartEvent]:
     """All local maxima of E_K(t) on [0, horizon] for the flow from rest.
 
@@ -442,7 +440,7 @@ def kinetic_energy_maxima(
     maximum: at each returned event t*dE_K/dt - E_K = -E_K < 0.
     """
     dt = default_time_step(obj) if dt is None else _check_dt(dt)
-    events = _scan_from_rest(obj, x0, None, dt, horizon, "kin", reltol)
+    events = _scan_from_rest(obj, x0, None, dt, horizon, "kin")
     return [_event_from_state(obj, state, np.nan) for state, _ in events]
 
 
@@ -454,7 +452,6 @@ def run_piecewise_conservative(
     f_star: Optional[float] = None,
     cap: Optional[float] = None,
     record_every: Optional[int] = None,
-    reltol: float = EVENT_TIME_RELTOL,
 ) -> PiecewiseResult:
     """Piecewise conservative flow: evolve from rest, restart at each
     mean-dissipation maximum, repeat ``n_restarts`` times.
@@ -466,13 +463,10 @@ def run_piecewise_conservative(
     that need mu or f* are emitted only when those are available (f* is
     computed exactly for quadratics when not supplied).
     """
-    from .objectives import QuadraticObjective  # local import to avoid cycle noise
-
     dt = default_time_step(obj) if dt is None else _check_dt(dt)
     x0 = np.asarray(x0, dtype=float)
     if f_star is None and isinstance(obj, QuadraticObjective):
-        x_min = np.linalg.solve(obj.A, -obj.b)
-        f_star = obj.value(x_min)
+        f_star = _quadratic_min_value(obj)
     mu = obj.strong_convexity
     L = obj.lipschitz
 
@@ -497,7 +491,7 @@ def run_piecewise_conservative(
             break
         seg_cap = _mmd_cap(obj, x, dt, cap, f_star, g)
         samples = []
-        scan = _scan_from_rest(obj, x, g, dt, seg_cap, "mmd", reltol, samples, record_every or 8)
+        scan = _scan_from_rest(obj, x, g, dt, seg_cap, "mmd", samples, record_every or 8)
         state, arc = next(scan, (None, None))
         if state is None:
             raise RuntimeError(f"segment {seg}: no restart within the cap {seg_cap:g}")
@@ -649,12 +643,13 @@ def quadratic_fixed_interval_decrease(lams, x0) -> dict:
     return rep
 
 
-def small_time_energy_check(obj: SmoothObjective, x0, dt: Optional[float] = None, n_grid: int = 25) -> dict:
+def small_time_energy_check(obj: SmoothObjective, x0, dt: Optional[float] = None) -> dict:
     """Sandwich check on the early kinetic-energy growth.
 
     For strongly convex objectives, E_K(t) lies between |g0|^2 t^2 / 8 and
     (25/32) |g0|^2 t^2 for all t up to sqrt(mu)/(2L), within the slack
-    1e-6 |g0|^2 for integrator error.  Returns a report with the worst
+    1e-6 |g0|^2 for integrator error.  The flow is integrated with ``dt``
+    cut to at most a 25th of that horizon.  Returns a report with the worst
     margins; a start at the minimizer is flagged as degenerate and skipped.
     """
     mu = obj.strong_convexity
@@ -669,7 +664,7 @@ def small_time_energy_check(obj: SmoothObjective, x0, dt: Optional[float] = None
     if dt is None:
         dt = default_time_step(obj)
     T = np.sqrt(mu) / (2.0 * L)
-    dt = min(dt, T / max(n_grid, 4))
+    dt = min(dt, T / 25)
     traj = integrate_conservative(obj, x0, np.zeros_like(x0), dt, T)
     ts = traj.times[1:]
     eks = 0.5 * np.einsum("ij,ij->i", traj.vs[1:], traj.vs[1:])

@@ -324,28 +324,41 @@ def _check_step(s, L, who, stacklevel=3):
         warnings.warn(f"{who}: s = {s:g} exceeds 1/L = {1.0 / L:g}", stacklevel=stacklevel)
 
 
-def _momentum_run(obj, x0, s, momentum, max_iter, keep_iterates, method):
+def _momentum_run(obj, x0, s, momentum, max_iter, keep_iterates, method, restart=False):
     """Nesterov's loop y_{k+1} = x_k - s grad f(x_k),
-    x_{k+1} = y_{k+1} + momentum(k) (y_{k+1} - y_k), from y_0 = x_0.
+    x_{k+1} = y_{k+1} + momentum(j) (y_{k+1} - y_k), from y_0 = x_0, where j
+    counts the iterations since the last restart, so j = k unless
+    ``restart`` turns on the gradient restart of ``nag_c_restart_run``.
 
-    Once an iteration leaves both x and y unchanged (compared by value),
-    every later iteration repeats it exactly, so the remaining rows are
-    written as copies of the last one without further oracle calls.
+    Once an iteration leaves both x and y unchanged (compared by value), it
+    cannot restart and every later iteration repeats it exactly, so the
+    remaining rows are written as copies of the last one without further
+    oracle calls.
     """
     grad, fval = obj.gradient, obj.value
     x = np.array(x0, dtype=float)
     y = x.copy()
     g = grad(x)
+    j = 0
     rec = _Recorder(method, s, keep_iterates)
     rec.add(0, fval(x), math.sqrt(g @ g), False, x)
     for k in range(max_iter):
         x_old = x
+        beta = momentum(j)
         y_new = x - s * g
         dy = y_new - y
-        x = y_new + momentum(k) * dy
+        x = y_new + beta * dy
         y = y_new
         g = grad(x)
-        rec.add(k + 1, fval(x), math.sqrt(g @ g), False, x)
+        fire = restart and float(g @ dy) > 0.0
+        if fire:
+            x = y_new
+            if beta != 0.0:
+                g = grad(x)
+            j = 0
+        else:
+            j += 1
+        rec.add(k + 1, fval(x), math.sqrt(g @ g), fire, x)
         # A fixed state repeats f; comparing f first keeps the array tests
         # off nearly every other iteration.
         if rec.fvals[-1] == rec.fvals[-2] and not dy.any() and np.array_equal(x, x_old):
@@ -357,7 +370,7 @@ def _momentum_run(obj, x0, s, momentum, max_iter, keep_iterates, method):
 def nag_c_run(obj: SmoothObjective, x0, s: float, max_iter: int, keep_iterates: bool = False) -> Trace:
     """Nesterov's method for convex functions with momentum k/(k+3)."""
     _check_step(s, obj.lipschitz, "nag-c")
-    return _momentum_run(obj, x0, s, lambda k: k / (k + 3.0), max_iter, keep_iterates, "nag-c")
+    return _momentum_run(obj, x0, s, lambda j: j / (j + 3.0), max_iter, keep_iterates, "nag-c")
 
 
 def nag_sc_run(obj: SmoothObjective, x0, s: float, mu: float, max_iter: int, keep_iterates: bool = False) -> Trace:
@@ -373,7 +386,7 @@ def nag_sc_run(obj: SmoothObjective, x0, s: float, mu: float, max_iter: int, kee
     if mu * s > 1.0:
         raise ValueError(f"mu * s = {mu * s:g} > 1: momentum coefficient out of range")
     beta = (1.0 - np.sqrt(mu * s)) / (1.0 + np.sqrt(mu * s))
-    return _momentum_run(obj, x0, s, lambda k: beta, max_iter, keep_iterates, "nag-sc")
+    return _momentum_run(obj, x0, s, lambda j: beta, max_iter, keep_iterates, "nag-sc")
 
 
 def nag_c_restart_run(obj: SmoothObjective, x0, s: float, max_iter: int, keep_iterates: bool = False) -> Trace:
@@ -382,42 +395,9 @@ def nag_c_restart_run(obj: SmoothObjective, x0, s: float, max_iter: int, keep_it
     After each iteration, if grad f(x_{k+1}) . (y_{k+1} - y_k) > 0 the
     momentum counter is reset to zero and the iterate is set back to the
     plain gradient-step point y_{k+1} (which keeps every recorded iteration
-    at least as good as a gradient step).
-
-    Once an iteration leaves both x and y unchanged (compared by value), it
-    cannot restart and every later iteration repeats it exactly, so the
-    remaining rows are written as copies of the last one without further
-    oracle calls.
+    at least as good as a gradient step).  The gradient there is the one
+    just evaluated if the momentum was zero, and a new evaluation if not.
     """
     _check_step(s, obj.lipschitz, "nag-c-restart")
-    grad, fval = obj.gradient, obj.value
-    x = np.array(x0, dtype=float)
-    y = x.copy()
-    g = grad(x)
-    j = 0  # iterations since the last restart
-    rec = _Recorder("nag-c-restart", s, keep_iterates)
-    rec.add(0, fval(x), math.sqrt(g @ g), False, x)
-    for k in range(max_iter):
-        x_old = x
-        beta = j / (j + 3.0)
-        y_new = x - s * g
-        dy = y_new - y
-        x_cand = y_new + beta * dy
-        g_cand = grad(x_cand)
-        fire = float(g_cand @ dy) > 0.0
-        if fire:
-            x = y_new
-            g = g_cand if beta == 0.0 else grad(x)
-            j = 0
-        else:
-            x = x_cand
-            g = g_cand
-            j += 1
-        y = y_new
-        rec.add(k + 1, fval(x), math.sqrt(g @ g), fire, x)
-        # A fixed state repeats f; comparing f first keeps the array tests
-        # off nearly every other iteration.
-        if rec.fvals[-1] == rec.fvals[-2] and not dy.any() and np.array_equal(x, x_old):
-            rec.fill(max_iter)
-            break
-    return rec.trace(x)
+    return _momentum_run(obj, x0, s, lambda j: j / (j + 3.0), max_iter, keep_iterates, "nag-c-restart",
+                         restart=True)

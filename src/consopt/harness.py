@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, List, NamedTuple, Optional, Tuple
@@ -28,6 +27,7 @@ from .objectives import (
     LogisticObjective,
     QuadraticObjective,
     SmoothObjective,
+    _quadratic_min_value,
     gen_logistic_instance,
     gen_logsumexp_instance,
     gen_random_quadratic,
@@ -137,9 +137,6 @@ class ExperimentConfig:
     methods: tuple = ()
     h: Optional[float] = None
     s: Optional[float] = None
-    lam_lo: float = 0.03
-    lam_hi: float = 15.0
-    rho: float = 1.0
 
     def __post_init__(self):
         if self.problem not in PROBLEMS:
@@ -193,7 +190,7 @@ def build_instance(config: ExperimentConfig, rep: int):
     """
     seed = config.base_seed + rep
     if config.problem == "quadratic":
-        smooth = gen_random_quadratic(config.n, config.lam_lo, config.lam_hi, seed)
+        smooth = gen_random_quadratic(config.n, 0.03, 15.0, seed)
         x0 = np.random.default_rng([seed, 1]).standard_normal(config.n)
         gamma_data = smooth.b
     elif config.problem == "logistic":
@@ -202,8 +199,8 @@ def build_instance(config: ExperimentConfig, rep: int):
         x0 = np.zeros(config.n)
         gamma_data = None
     else:
-        A, b = gen_logsumexp_instance(config.n, config.m, seed, rho=config.rho)
-        smooth = logsumexp_objective(A, b, config.rho)
+        A, b = gen_logsumexp_instance(config.n, config.m, seed)
+        smooth = logsumexp_objective(A, b, 1.0)
         x0 = np.zeros(config.n)
         gamma_data = None
     if not config.l1:
@@ -295,13 +292,7 @@ def estimate_fstar(obj, x0, budget: int, s: Optional[float] = None) -> float:
     it costs only the iterations up to that point.
     """
     if isinstance(obj, QuadraticObjective):
-        try:
-            x_min = np.linalg.solve(obj.A, -obj.b)
-        except np.linalg.LinAlgError:
-            x_min = np.linalg.lstsq(obj.A, -obj.b, rcond=None)[0]
-            r = -obj.b - obj.A @ x_min
-            x_min = x_min + np.linalg.lstsq(obj.A, r, rcond=None)[0]
-        return obj.value(x_min)
+        return _quadratic_min_value(obj)
     if isinstance(obj, CompositeObjective):
         L = obj.smooth.lipschitz
         stop = _dual_gap_stop(obj) if isinstance(obj.smooth, LogisticObjective) else None
@@ -340,20 +331,14 @@ def _rep_rows(config: ExperimentConfig, rep: int) -> Tuple[List[ResultRow], int]
     return rows, clipped
 
 
-def run_experiment(config: ExperimentConfig, parallel: bool = False) -> List[ResultRow]:
+def run_experiment(config: ExperimentConfig) -> List[ResultRow]:
     """Run every configured method on every repetition and return the rows.
 
-    Repetitions are independent; with ``parallel=True`` they run on a thread
-    pool and the merged row list is identical to the sequential one.  A
-    diverging method contributes its truncated rows plus one NaN diagnostic
-    row.  Each repetition that clipped gaps to 0 raises one ``UserWarning``
-    at the caller, in repetition order.
+    A diverging method contributes its truncated rows plus one NaN
+    diagnostic row.  Each repetition that clipped gaps to 0 raises one
+    ``UserWarning`` at the caller, in repetition order.
     """
-    if parallel and config.reps > 1:
-        with ThreadPoolExecutor() as pool:
-            per_rep = list(pool.map(lambda r: _rep_rows(config, r), range(config.reps)))
-    else:
-        per_rep = [_rep_rows(config, rep) for rep in range(config.reps)]
+    per_rep = [_rep_rows(config, rep) for rep in range(config.reps)]
     rows: List[ResultRow] = []
     for rep, (chunk, clipped) in enumerate(per_rep):
         if clipped:

@@ -147,28 +147,26 @@ def _shared_product(product, value_of, gradient_of):
     return value, gradient
 
 
-def power_iteration(matvec, n: int, tol: float = 1e-8, max_iter: int = 10_000) -> float:
+def power_iteration(matvec, n: int) -> float:
     """Largest eigenvalue of a symmetric PSD operator given as a matvec.
 
     Starts from the deterministic vector ones(n)/sqrt(n) and iterates until
-    the eigenvalue estimate is stationary to relative tolerance ``tol``.
-    Raises ``RuntimeError`` if the estimate has not settled within
-    ``max_iter`` iterations.
+    the eigenvalue estimate is stationary to relative tolerance 1e-8.
+    Raises ``RuntimeError`` if the estimate has not settled within 10,000
+    iterations.
     """
     v = np.full(n, 1.0 / np.sqrt(n))
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(10_000):
         w = matvec(v)
         lam_new = float(np.linalg.norm(w))
         if lam_new == 0.0:
             return 0.0
         v = w / lam_new
-        if abs(lam_new - lam) <= tol * lam_new:
+        if abs(lam_new - lam) <= 1e-8 * lam_new:
             return lam_new
         lam = lam_new
-    raise RuntimeError(
-        f"power iteration did not converge within {max_iter} iterations"
-    )
+    raise RuntimeError("power iteration did not converge within 10000 iterations")
 
 
 def quadratic_objective(A, b) -> QuadraticObjective:
@@ -208,6 +206,19 @@ def quadratic_objective(A, b) -> QuadraticObjective:
         b=b,
         eigen_bounds=(lam_min, lam_max),
     )
+
+
+def _quadratic_min_value(obj: QuadraticObjective) -> float:
+    """Minimum value of a quadratic, at the solution of A x = -b: a linear
+    solve, or, if the solve fails, a least squares solution plus one
+    iterative refinement step."""
+    try:
+        x_min = np.linalg.solve(obj.A, -obj.b)
+    except np.linalg.LinAlgError:
+        x_min = np.linalg.lstsq(obj.A, -obj.b, rcond=None)[0]
+        r = -obj.b - obj.A @ x_min
+        x_min = x_min + np.linalg.lstsq(obj.A, r, rcond=None)[0]
+    return obj.value(x_min)
 
 
 def gen_random_quadratic(n: int, lam_lo: float, lam_hi: float, seed: int) -> QuadraticObjective:
@@ -304,7 +315,7 @@ def logsumexp_objective(A, b, rho: float) -> LogSumExpObjective:
     )
 
 
-def gen_logsumexp_instance(n: int, m: int, seed: int, rho: float = 1.0):
+def gen_logsumexp_instance(n: int, m: int, seed: int):
     """Random log-sum-exp instance: A and b standard normal; returns (A, b)."""
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")

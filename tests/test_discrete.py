@@ -360,6 +360,36 @@ class TestNagCRestart:
         assert restarted.fvals[-1] < plain.fvals[-1]
 
 
+@pytest.mark.parametrize("method", ["nag-c", "nag-sc", "nag-c-restart"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_nesterov_oracle_calls_per_iteration(method, seed):
+    # One value and one gradient per row; a restart adds a gradient at y_{k+1}
+    # unless the momentum was zero, that is, on the first iteration and right
+    # after another restart, when the candidate point is y_{k+1} itself.
+    obj = gen_random_quadratic(30, 0.03, 15.0, seed)
+    x0 = np.random.default_rng([seed, 1]).standard_normal(30)
+    calls = {"value": 0, "gradient": 0}
+
+    def counted(name, inner):
+        def call(x):
+            calls[name] += 1
+            return inner(x)
+        return call
+
+    c = replace(obj, value=counted("value", obj.value), gradient=counted("gradient", obj.gradient))
+    s, max_iter = 1.0 / obj.lipschitz, 600
+    if method == "nag-c":
+        trace = nag_c_run(c, x0, s, max_iter)
+    elif method == "nag-sc":
+        trace = nag_sc_run(c, x0, s, obj.strong_convexity, max_iter)
+    else:
+        trace = nag_c_restart_run(c, x0, s, max_iter)
+    r = trace.restarts
+    # Restarts with and without momentum both occur.
+    assert method != "nag-c-restart" or (np.any(r[2:] & ~r[1:-1]) and np.any(r[2:] & r[1:-1]))
+    assert calls == {"value": max_iter + 1, "gradient": max_iter + 1 + int(np.sum(r[2:] & ~r[1:-1]))}
+
+
 # Every runner, on a smooth quadratic q with L = 2 and mu = 0.5 or on its
 # l1-composite c, for five iterations from x0.
 RUNNERS = {

@@ -4,9 +4,9 @@ Each case hashes exact output bytes on fixed seeds: the CSV that
 ``write_csv`` writes for a small family and for the quadratic family at the
 benchmark's size, every column of the restart and Nesterov loops' traces,
 the raw arrays of an integrated trajectory, and the floats of restart
-events and bound reports.  A change that alters any trace by even one ulp changes a
-digest.  When a change is meant to alter traces, the new digests go in
-with an explanation of the difference in CHANGES.md.
+events and bound reports.  A change that alters any trace by even one ulp
+changes a digest.  When a change is meant to alter traces, the new digests
+go in with an explanation of the difference in CHANGES.md.
 """
 
 import hashlib
