@@ -6,6 +6,7 @@ import pytest
 
 from consopt.composite import fista_restart_run, fista_run, prox_l1, rcm_comp_run, sign_crossing_projection
 from consopt.discrete import (
+    DIVERGENCE_LIMIT,
     RESTART_CRITERIA,
     DivergenceError,
     _Recorder,
@@ -641,3 +642,38 @@ def test_zero_velocity_with_a_nonzero_step_is_not_at_rest(criterion):
                                                f"rcm-{criterion}")
     assert _columns(trace) == _columns(ref)
     assert calls[0] == calls_at_row[-1]
+
+
+class TestDivergenceBoundary:
+    """Which rows make ``_Recorder.add`` abort the run: |f| or the residual
+    beyond DIVERGENCE_LIMIT, or either one NaN or infinite."""
+
+    def add_rows(self, fval, resid):
+        rec = _Recorder("probe", 0.1, False)
+        x = np.zeros(2)
+        rec.add(0, 1.0, 2.0, False, x)
+        rec.add(1, 0.5, 1.0, False, x)
+        rec.add(2, fval, resid, False, x)
+        return rec
+
+    @pytest.mark.parametrize("fval, resid", [
+        (DIVERGENCE_LIMIT, 1.0), (-DIVERGENCE_LIMIT, 1.0), (1.0, DIVERGENCE_LIMIT),
+        (-DIVERGENCE_LIMIT, DIVERGENCE_LIMIT), (0.0, 0.0), (-0.0, 0.0),
+    ])
+    def test_limit_itself_is_kept(self, fval, resid):
+        trace = self.add_rows(fval, resid).trace(np.zeros(2))
+        assert trace.fvals[-1] == fval and trace.residuals[-1] == resid
+
+    @pytest.mark.parametrize("fval, resid", [
+        (np.nextafter(DIVERGENCE_LIMIT, np.inf), 1.0), (-np.nextafter(DIVERGENCE_LIMIT, np.inf), 1.0),
+        (1.0, np.nextafter(DIVERGENCE_LIMIT, np.inf)),
+        (np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0),
+        (1.0, np.nan), (1.0, np.inf), (1.0, -np.inf),
+    ])
+    def test_beyond_the_limit_or_not_finite_aborts(self, fval, resid):
+        with pytest.raises(DivergenceError, match="probe: diverged at iteration 2 ") as info:
+            self.add_rows(float(fval), float(resid))
+        partial = info.value.partial_trace
+        assert partial.iters.tolist() == [0, 1, 2]
+        assert partial.fvals[:2].tolist() == [1.0, 0.5] and partial.residuals[:2].tolist() == [2.0, 1.0]
+        assert partial.final_state.iter == 2

@@ -3,6 +3,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.special import expit, logsumexp, softmax
 
 from consopt.composite import fista_restart_run
 from consopt.objectives import (
@@ -402,3 +403,42 @@ def test_shared_product_computes_one_product_per_point():
     assert value(y) == 20.0
     assert len(calls) == 5
 
+
+
+def _oracle_cases(n):
+    """Each family at dimension n with its value and gradient written out
+    in the NumPy operators."""
+    quad = gen_random_quadratic(n, 0.03, 15.0, n)
+    A, y, _ = gen_logistic_instance(n, 2 * n, n)
+    M, c = gen_logsumexp_instance(n, 2 * n, n)
+    rho = 0.7
+
+    def lse_z(x):
+        return (M.T @ x - c) / rho
+
+    return {
+        "quadratic": (quad, lambda x: float(0.5 * (x @ (quad.A @ x)) + quad.b @ x),
+                      lambda x: quad.A @ x + quad.b),
+        "logistic": (logistic_objective(A, y),
+                     lambda x: float(((1.0 - y) * (A.T @ x) + np.logaddexp(0.0, -(A.T @ x))).sum()),
+                     lambda x: A @ ((1.0 - y) - expit(-(A.T @ x)))),
+        "logsumexp": (logsumexp_objective(M, c, rho), lambda x: float(rho * logsumexp(lse_z(x))),
+                      lambda x: M @ softmax(lse_z(x))),
+    }
+
+
+@pytest.mark.parametrize("n", [8, 200])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_oracle_is_bit_equal_to_its_formula(family, n):
+    """Each oracle returns its formula's bits at 50 points of scale 1e-8 to
+    1e8, for a value asked alone and for one right after a gradient."""
+    obj, value, gradient = _oracle_cases(n)[family]
+    rng = np.random.default_rng(n)
+    for scale in np.logspace(-8, 8, 50):
+        x = scale * rng.standard_normal(n)
+        alone = obj.value(x)  # the last gradient was at another point
+        g = obj.gradient(x)
+        after = obj.value(x)
+        assert type(alone) is float and type(after) is float
+        assert alone.hex() == after.hex() == value(x).hex()
+        assert g.tobytes() == gradient(x).tobytes()
