@@ -36,7 +36,6 @@ from .discrete import (
     nag_c_run,
     nag_sc_run,
     rcm_run,
-    rest_restart_step,
     should_restart,
     symplectic_euler_step,
 )

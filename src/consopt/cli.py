@@ -181,10 +181,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _continuous_usage_error(args):
     """What is wrong with the options of ``consopt continuous``, or None.
     ``kinetic-1d`` and ``visiting-time`` read only ``--mu``, so only the
-    other checks need a finite ``--L >= --mu``, and those that read the
-    restart-time bound need it positive and finite, not overflowed."""
+    other checks need a finite ``--L >= --mu``.  The restart-time bound,
+    where read, and |grad f(x0)|^2 = sum lam^2, for flows from rest at
+    x0 = (1, ..., 1), must be positive and finite, not overflowed."""
     if not 0 < args.mu < np.inf:
         return "--mu must be positive and finite"
+    if args.n < 1:
+        return "--n must be >= 1"
     if args.check not in ("kinetic-1d", "visiting-time"):
         if not args.L < np.inf:
             return "--L must be positive and finite"
@@ -195,8 +198,13 @@ def _continuous_usage_error(args):
             bound = cont.restart_time_upper_bound(args.mu, args.L)
         if not 0 < bound < np.inf:
             return f"--mu and --L give a restart-time bound of {bound:g}; it must be positive and finite"
-    if args.n < 1:
-        return "--n must be >= 1"
+    if args.check not in ("quad-decrease", "visiting-time"):
+        L, n = (args.mu, 1) if args.check == "kinetic-1d" else (args.L, args.n)
+        lams = np.linspace(args.mu, L, n)
+        with np.errstate(over="ignore"):
+            grad_sq = float(lams.dot(lams))
+        if not 0 < grad_sq < np.inf:
+            return f"the options give |grad f(x0)|^2 = {grad_sq:g}; it must be positive and finite"
     if args.dt is not None and not 0 < args.dt < np.inf:
         return "--dt must be positive and finite"
     if args.restarts < 1:

@@ -156,16 +156,14 @@ def _refine_event(grad, make_test, is_after, node_a, node_b):
     The velocity is interpolated with the accelerations -g of the two
     nodes.  The scalar test is re-evaluated from the interpolated state
     with the exact gradient until the bracket is ``EVENT_TIME_RELTOL``
-    narrow.  Returns (t, x, v, g) at the located event.
+    narrow, at least once.  Returns the last state tested, (t, x, v, g).
     """
     ta, xa, va, ga = node_a
     tb, xb, vb, gb = node_b
     aa, ab = -ga, -gb
     lo, hi = ta, tb
     h = tb - ta
-    t = 0.5 * (lo + hi)
-    x = v = g = None
-    while hi - lo > EVENT_TIME_RELTOL * max(hi, 1e-300):
+    while True:
         t = 0.5 * (lo + hi)
         s = (t - ta) / h
         x = _hermite(s, h, xa, va, xb, vb)
@@ -175,13 +173,8 @@ def _refine_event(grad, make_test, is_after, node_a, node_b):
             hi = t
         else:
             lo = t
-    if x is None:  # bracket already narrower than the tolerance
-        t = 0.5 * (lo + hi)
-        s = (t - ta) / h
-        x = _hermite(s, h, xa, va, xb, vb)
-        v = _hermite(s, h, va, aa, vb, ab)
-        g = grad(x)
-    return t, x, v, g
+        if not hi - lo > EVENT_TIME_RELTOL * max(hi, 1e-300):
+            return t, x, v, g
 
 
 # -- integration ---------------------------------------------------------------

@@ -35,7 +35,6 @@ __all__ = [
     "Trace",
     "DivergenceError",
     "symplectic_euler_step",
-    "rest_restart_step",
     "should_restart",
     "rcm_run",
     "gradient_descent_run",
@@ -104,7 +103,7 @@ class _Recorder:
 
     The ``restart_origin`` and ``crossings`` columns exist only when the
     runner passes ``l`` and ``crossed`` to ``add``.  Runners pass the
-    residual as ``math.sqrt(g @ g)``, bit for bit what ``np.linalg.norm``
+    residual as ``math.sqrt(g.dot(g))``, bit for bit what ``np.linalg.norm``
     computes for a real vector, at a fraction of its call cost.
     """
 
@@ -132,7 +131,8 @@ class _Recorder:
         if self.xs is not None:
             self.xs.append(np.array(x))
             self.vs.append(None if v is None else np.array(v))
-        if not (math.isfinite(fval) and math.isfinite(resid)) or abs(fval) > DIVERGENCE_LIMIT or resid > DIVERGENCE_LIMIT:
+        # |f| <= limit and -inf < residual <= limit; NaN fails every test.
+        if not abs(fval) <= DIVERGENCE_LIMIT >= resid > -math.inf:
             raise DivergenceError(
                 f"{self.method}: diverged at iteration {k} (f = {fval:g}, residual = {resid:g})",
                 partial_trace=self.trace(x, v, l),
@@ -182,15 +182,6 @@ def symplectic_euler_step(obj: SmoothObjective, x: Array, v: Array, h: float):
     return x_new, v_new
 
 
-def rest_restart_step(obj: SmoothObjective, x: Array, h: float):
-    """Symplectic step from rest: v' = -h grad f(x), x' = x - h^2 grad f(x).
-
-    The gradient is evaluated at the pre-restart point.
-    """
-    x = np.asarray(x, dtype=float)
-    return symplectic_euler_step(obj, x, np.zeros_like(x), h)
-
-
 def should_restart(criterion: str, v: Array, v_new: Array, grad_at_xnew, k: int, l: int) -> bool:
     """Restart predicate of the conservative method at iteration k -> k+1.
 
@@ -201,15 +192,15 @@ def should_restart(criterion: str, v: Array, v_new: Array, grad_at_xnew, k: int,
     restart.  The mean-dissipation tests require k - l >= 1.
     """
     if criterion == "grad":
-        return float(grad_at_xnew @ v) > 0.0
+        return float(grad_at_xnew.dot(v)) > 0.0
     if criterion == "kin":
-        return float(v_new @ v_new) < float(v @ v)
+        return float(v_new.dot(v_new)) < float(v.dot(v))
     if criterion == "mmd-r":
         assert k - l >= 1, "mmd-r queried with an empty segment (k - l < 1)"
-        return float(v_new @ v_new) / (k + 1 - l) < float(v @ v) / (k - l)
+        return float(v_new.dot(v_new)) / (k + 1 - l) < float(v.dot(v)) / (k - l)
     if criterion == "mmd-dr":
         assert k + 1 - l >= 1, "mmd-dr queried with an empty segment"
-        return float(v_new @ v_new) + 2.0 * (k + 1 - l) * float(grad_at_xnew @ v_new) > 0.0
+        return float(v_new.dot(v_new)) + 2.0 * (k + 1 - l) * float(grad_at_xnew.dot(v_new)) > 0.0
     raise ValueError(f"unknown restart criterion {criterion!r}; expected one of {RESTART_CRITERIA}")
 
 
@@ -250,7 +241,7 @@ def _rcm_loop(value, oracle, L, x0, h, criterion, max_iter, keep_iterates, metho
     g = oracle(x)
     l = 0
     rec = _Recorder(method, h, keep_iterates)
-    rec.add(0, value(x), math.sqrt(g @ g), False, x, v, l, crossed)
+    rec.add(0, value(x), math.sqrt(g.dot(g)), False, x, v, l, crossed)
 
     for k in range(max_iter):
         v_trial = v - h * g
@@ -272,7 +263,7 @@ def _rcm_loop(value, oracle, L, x0, h, criterion, max_iter, keep_iterates, metho
         x, v = x_new, v_new
         # Without a crossing, x is the point g_new was evaluated at.
         g = oracle(x) if g_new is None or crossed else g_new
-        rec.add(k + 1, value(x), math.sqrt(g @ g), fire, x, v, l, crossed)
+        rec.add(k + 1, value(x), math.sqrt(g.dot(g)), fire, x, v, l, crossed)
         # A state at rest repeats f; comparing f first keeps the array
         # tests off nearly every other iteration.
         if (rec.fvals[-1] == rec.fvals[-2] and not v.any()
@@ -307,11 +298,11 @@ def gradient_descent_run(obj: SmoothObjective, x0, s: float, max_iter: int, keep
     x = np.array(x0, dtype=float)
     g = grad(x)
     rec = _Recorder("gd", s, keep_iterates)
-    rec.add(0, fval(x), math.sqrt(g @ g), False, x)
+    rec.add(0, fval(x), math.sqrt(g.dot(g)), False, x)
     for k in range(max_iter):
         x = x - s * g
         g = grad(x)
-        rec.add(k + 1, fval(x), math.sqrt(g @ g), False, x)
+        rec.add(k + 1, fval(x), math.sqrt(g.dot(g)), False, x)
     return rec.trace(x)
 
 
@@ -341,7 +332,7 @@ def _momentum_run(obj, x0, s, momentum, max_iter, keep_iterates, method, restart
     g = grad(x)
     j = 0
     rec = _Recorder(method, s, keep_iterates)
-    rec.add(0, fval(x), math.sqrt(g @ g), False, x)
+    rec.add(0, fval(x), math.sqrt(g.dot(g)), False, x)
     for k in range(max_iter):
         x_old = x
         beta = momentum(j)
@@ -350,7 +341,7 @@ def _momentum_run(obj, x0, s, momentum, max_iter, keep_iterates, method, restart
         x = y_new + beta * dy
         y = y_new
         g = grad(x)
-        fire = restart and float(g @ dy) > 0.0
+        fire = restart and float(g.dot(dy)) > 0.0
         if fire:
             x = y_new
             if beta != 0.0:
@@ -358,7 +349,7 @@ def _momentum_run(obj, x0, s, momentum, max_iter, keep_iterates, method, restart
             j = 0
         else:
             j += 1
-        rec.add(k + 1, fval(x), math.sqrt(g @ g), fire, x)
+        rec.add(k + 1, fval(x), math.sqrt(g.dot(g)), fire, x)
         # A fixed state repeats f; comparing f first keeps the array tests
         # off nearly every other iteration.
         if rec.fvals[-1] == rec.fvals[-2] and not dy.any() and np.array_equal(x, x_old):

@@ -286,10 +286,13 @@ def estimate_fstar(obj, x0, budget: int, s: Optional[float] = None) -> float:
 
     A reference minimum is a value the reference reached, so it is at least
     f*: an estimate from above.  Rows of a method that dips below it get
-    their gaps clipped to 0, which on the benchmark families happens only
-    at roundoff.  A reference run that reaches an exact fixed point writes
-    its remaining rows as copies of the last one, without oracle calls, so
-    it costs only the iterations up to that point.
+    their gaps clipped to 0, only at roundoff on the ``bench/`` and
+    criterion-08 families.  The default smooth logistic and log-sum-exp
+    families (m = 2n) clip far more: most draws there are separable or
+    unbounded below, with no minimum (ROADMAP.md, open item 1).  A
+    reference run that reaches an exact fixed point writes its remaining
+    rows as copies of the last one, without oracle calls, so it costs only
+    the iterations up to that point.
     """
     if isinstance(obj, QuadraticObjective):
         return _quadratic_min_value(obj)

@@ -12,6 +12,10 @@ mutated in place or given as a list or an integer array is never served a
 stale product, and the stored (key, product) pair is replaced by one atomic
 rebinding.  Generators are pure functions of their sizes and seed (PCG64
 streams via ``numpy.random.default_rng``).
+
+The oracles call ``ndarray.dot``, not ``@``, and finish the quadratic value
+in floats: the same BLAS calls and IEEE operations, so the same bits, at
+less of NumPy's dispatch cost, which at these sizes rivals the arithmetic.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import numpy as np
 from scipy.special import expit, logsumexp, softmax
 
 Array = np.ndarray
+_FLOAT = np.dtype(float)
 
 __all__ = [
     "SmoothObjective",
@@ -126,12 +131,13 @@ def _shared_product(product, value_of, gradient_of):
     ``product(x)`` is the expensive part both need; ``value_of(x, p)`` and
     ``gradient_of(x, p)`` finish the value and the gradient from it.
     ``gradient`` stores its point's bytes with the product, and ``value``
-    reuses that product when called at a point with the same bytes.
+    reuses that product when called at a point with the same bytes.  A
+    float64 ndarray skips ``np.asarray``, which would return it unchanged.
     """
     last = (None, None)
 
     def value(x):
-        x = np.asarray(x, dtype=float)
+        x = x if type(x) is np.ndarray and x.dtype is _FLOAT else np.asarray(x, dtype=float)
         key, p = last
         if key != x.tobytes():
             p = product(x)
@@ -139,7 +145,7 @@ def _shared_product(product, value_of, gradient_of):
 
     def gradient(x):
         nonlocal last
-        x = np.asarray(x, dtype=float)
+        x = x if type(x) is np.ndarray and x.dtype is _FLOAT else np.asarray(x, dtype=float)
         p = product(x)
         last = (x.tobytes(), p)
         return gradient_of(x, p)
@@ -192,8 +198,8 @@ def quadratic_objective(A, b) -> QuadraticObjective:
         raise ValueError(f"A is not positive definite (lambda_min = {lam_min:g})")
 
     value, gradient = _shared_product(
-        lambda x: A @ x,
-        lambda x, Ax: float(0.5 * (x @ Ax) + b @ x),
+        A.dot,
+        lambda x, Ax: 0.5 * float(x.dot(Ax)) + float(b.dot(x)),
         lambda x, Ax: Ax + b,
     )
     return QuadraticObjective(
@@ -258,9 +264,9 @@ def logistic_objective(A, y) -> LogisticObjective:
 
     not_y = 1.0 - y
     value, gradient = _shared_product(
-        lambda x: A.T @ x,
+        A.T.dot,
         lambda x, t: float((not_y * t + np.logaddexp(0.0, -t)).sum()),
-        lambda x, t: A @ (not_y - expit(-t)),
+        lambda x, t: A.dot(not_y - expit(-t)),
     )
     # A = 0 gives a linear objective; keep the Lipschitz field positive
     return LogisticObjective(
@@ -305,9 +311,9 @@ def logsumexp_objective(A, b, rho: float) -> LogSumExpObjective:
     lam = power_iteration(lambda v: A @ (A.T @ v), n)
 
     value, gradient = _shared_product(
-        lambda x: (A.T @ x - b) / rho,
+        lambda x: (A.T.dot(x) - b) / rho,
         lambda x, z: float(rho * logsumexp(z)),
-        lambda x, z: A @ softmax(z),
+        lambda x, z: A.dot(softmax(z)),
     )
     return LogSumExpObjective(
         dim=n, value=value, gradient=gradient,

@@ -15,7 +15,6 @@ from consopt.discrete import (
     nag_c_run,
     nag_sc_run,
     rcm_run,
-    rest_restart_step,
     should_restart,
     symplectic_euler_step,
 )
@@ -110,23 +109,27 @@ class TestSymplecticStep:
 
 
 class TestRestRestartStep:
+    """The step from rest is the symplectic step with a zero velocity."""
+
     def test_lands_at_minimizer(self):
-        x, v = rest_restart_step(quad_1d(), np.array([2.0]), 1.0)
+        x, v = symplectic_euler_step(quad_1d(), np.array([2.0]), np.zeros(1), 1.0)
         assert x[0] == pytest.approx(0.0)
         assert v[0] == pytest.approx(-2.0)
 
     def test_stationary_fixed_point(self):
         obj = quadratic_objective(np.diag([2.0, 5.0]), np.array([-2.0, -5.0]))
-        x, v = rest_restart_step(obj, np.ones(2), 0.4)
+        x, v = symplectic_euler_step(obj, np.ones(2), np.zeros(2), 0.4)
         assert np.array_equal(x, np.ones(2))
         assert np.all(v == 0.0)
 
     def test_equals_symplectic_from_rest(self):
+        # v' = -h g and x' = x + h v', bit for bit, with g = grad f(x)
         obj = gen_random_quadratic(4, 0.5, 2.0, 5)
         x0 = np.random.default_rng(5).standard_normal(4)
-        a = rest_restart_step(obj, x0, 0.7)
-        b = symplectic_euler_step(obj, x0, np.zeros(4), 0.7)
-        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        g = obj.gradient(x0)
+        x, v = symplectic_euler_step(obj, x0, np.zeros_like(x0), 0.7)
+        assert v.tobytes() == (0.0 - 0.7 * g).tobytes()
+        assert x.tobytes() == (x0 + 0.7 * v).tobytes()
 
 
 class TestShouldRestart:

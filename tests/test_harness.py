@@ -346,10 +346,20 @@ class TestCli:
                      ["length", "--restarts", "0"], ["mmd-bounds", "--mu", "inf", "--L", "inf"],
                      ["mmd-bounds", "--L", "inf"], ["conv-cont", "--L", "inf"], ["kinetic-1d", "--mu", "inf"],
                      ["visiting-time", "--mu", "inf"], ["mmd-bounds", "--mu", "1e300", "--L", "1e300"],
-                     ["mmd-bounds", "--mu", "1e-300", "--L", "1"]):
-            with pytest.raises(SystemExit) as info:
+                     ["mmd-bounds", "--mu", "1e-300", "--L", "1"], ["kinetic-1d", "--mu", "1e160"],
+                     ["kinetic-1d", "--mu", "1e300"], ["kinetic-1d", "--mu", "1e-300"],
+                     ["mmd-bounds", "--mu", "1e160", "--L", "1e160"],
+                     ["small-time", "--mu", "1", "--L", "1e160", "--n", "3"], ["conv-cont", "--mu", "1e200", "--L", "1e200"]):
+            with pytest.raises(SystemExit) as info, warnings.catch_warnings():
+                warnings.simplefilter("error")  # rejected before any arithmetic warns
                 cli_main(["continuous", *args])
             assert info.value.code == 2
+
+    def test_large_finite_mu_still_runs(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(["continuous", "kinetic-1d", "--mu", "1e150"]) in (0, 1)
+            assert cli_main(["continuous", "mmd-bounds", "--mu", "1e150", "--L", "1e150"]) == 0
 
     def test_unknown_subcommand_exits_2(self):
         for command in ("frobnicate", "verify"):
