@@ -26,7 +26,7 @@ from .harness import (
 from .objectives import quadratic_objective
 
 def _diag_quadratic(mu, L, n):
-    lams = np.linspace(mu, L, n) if n > 1 else np.array([mu])
+    lams = np.linspace(mu, L, n)  # [mu] when n = 1
     return quadratic_objective(np.diag(lams), np.zeros(n)), np.ones(n), lams
 
 

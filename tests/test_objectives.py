@@ -404,7 +404,6 @@ def test_shared_product_computes_one_product_per_point():
     assert len(calls) == 5
 
 
-
 def _oracle_cases(n):
     """Each family at dimension n with its value and gradient written out
     in the NumPy operators."""
