@@ -28,7 +28,6 @@ from .objectives import (
 )
 from .discrete import (
     RESTART_CRITERIA,
-    DiscreteState,
     DivergenceError,
     Trace,
     gradient_descent_run,

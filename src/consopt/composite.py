@@ -118,9 +118,9 @@ def _fista(f, x0, s, max_iter, restart, keep_iterates, stop=None):
     t = 1.0
     rec = _Recorder(method, s, keep_iterates)
     d0 = minimal_norm_subgradient(f, x)
-    rec.add(0, f.value(x), math.sqrt(d0.dot(d0)), False, x, crossed=False)
+    rec.add(f.value(x), math.sqrt(d0.dot(d0)), False, x)
 
-    for k in range(max_iter):
+    for _ in range(max_iter):
         x_prev, y_prev = x, y
         x = prox_l1(y - s * grad_g(y), tau)
         dx = x - x_prev
@@ -133,7 +133,7 @@ def _fista(f, x0, s, max_iter, restart, keep_iterates, stop=None):
             y = x + ((t - 1.0) / t_next) * dx
             t = t_next
         d = minimal_norm_subgradient(f, x)
-        rec.add(k + 1, f.value(x), math.sqrt(d.dot(d)), fire, x, crossed=False)
+        rec.add(f.value(x), math.sqrt(d.dot(d)), fire, x)
         # A fixed state repeats f; comparing f first keeps the array tests
         # off nearly every other iteration.
         if rec.fvals[-1] == rec.fvals[-2] and not dx.any() and np.array_equal(y_prev, x_prev):

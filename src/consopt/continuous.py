@@ -579,7 +579,8 @@ def visiting_time_1d(f: Callable[[float], float], x0: float, x_star: float, df=N
     y = x0 +/- u^2 before adaptive quadrature (absolute tolerance 1e-8).
 
     Requires f'(x0) != 0 (otherwise the singularity is not integrable) and
-    f(x0) > f(y) strictly between x0 and x_star.
+    f(x0) > f(y) strictly between x0 and x_star; |f'(x0)| counts as 0 at or
+    below 1e-12 of the mean slope |f(x0) - f(x_star)| / |x_star - x0|.
     """
     x0 = float(x0)
     x_star = float(x_star)
@@ -592,7 +593,7 @@ def visiting_time_1d(f: Callable[[float], float], x0: float, x_star: float, df=N
     else:
         step = 1e-7 * (1.0 + abs(x0))
         fp0 = (float(f(x0 + step)) - float(f(x0 - step))) / (2.0 * step)
-    if abs(fp0) <= 1e-12 * (1.0 + abs(f0)):
+    if abs(fp0) <= 1e-12 * abs(f0 - float(f(x_star))) / abs(span):
         raise ValueError("f'(x0) = 0: the endpoint singularity is not integrable")
     interior = x0 + span * np.linspace(1.0 / 513.0, 512.0 / 513.0, 512)
     if not all(f0 > float(f(y)) for y in interior):

@@ -31,7 +31,6 @@ DIVERGENCE_LIMIT = 1e150
 
 __all__ = [
     "RESTART_CRITERIA",
-    "DiscreteState",
     "Trace",
     "DivergenceError",
     "symplectic_euler_step",
@@ -56,44 +55,34 @@ class DivergenceError(RuntimeError):
 
 
 @dataclass
-class DiscreteState:
-    """Iterate, velocity, iteration counter, and last-restart index."""
-
-    x: Array
-    v: Array
-    iter: int
-    last_restart: int
-
-
-@dataclass
 class Trace:
     """Per-iteration record of a discrete run, smooth or composite.
 
-    Row k holds (iteration index, f value, residual, restart flag) at
-    iterate x_k; row 0 is the starting point, so the number of rows equals
-    the number of iterations plus one.  The residual is the gradient norm,
-    or the minimal-norm subgradient norm on a composite objective.
-    ``restart_origin`` tracks the bookkeeping index l of the segment each
-    iterate belongs to (restart runs only), ``crossings`` flags the
-    iterations where a composite run zeroed at least one coordinate
-    (composite runs only), and ``xs``/``vs`` hold the iterate and velocity
-    history when the run was asked to keep it.
+    Row k is iteration k: the f value, residual and restart flag at
+    iterate x_k, with row 0 at the starting point.  The residual is the
+    gradient norm, or the minimal-norm subgradient norm on a composite
+    objective.  ``x`` is the last iterate and ``v`` the velocity there,
+    None for the methods without one (gradient descent, the Nesterov loops
+    and FISTA).  Conservative runs record ``restart_origin``, the
+    bookkeeping index l of the segment each iterate belongs to, and on a
+    composite ``crossings``, the iterations that zeroed a coordinate.
+    ``xs``/``vs`` hold the iterate and velocity history when kept.
     """
 
     method: str
     step: float
-    iters: Array
     fvals: Array
     residuals: Array
     restarts: Array
-    final_state: DiscreteState
+    x: Array
+    v: Optional[Array] = None
     restart_origin: Optional[Array] = None
     xs: Optional[Array] = None
     vs: Optional[Array] = None
     crossings: Optional[Array] = None
 
     def __len__(self) -> int:
-        return len(self.iters)
+        return len(self.fvals)
 
 
 class _Recorder:
@@ -110,7 +99,6 @@ class _Recorder:
     def __init__(self, method, step, keep_iterates):
         self.method = method
         self.step = step
-        self.iters = []
         self.fvals = []
         self.residuals = []
         self.restarts = []
@@ -119,8 +107,7 @@ class _Recorder:
         self.xs = [] if keep_iterates else None
         self.vs = [] if keep_iterates else None
 
-    def add(self, k, fval, resid, fired, x, v=None, l=None, crossed=None):
-        self.iters.append(k)
+    def add(self, fval, resid, fired, x, v=None, l=None, crossed=None):
         self.fvals.append(fval)
         self.residuals.append(resid)
         self.restarts.append(fired)
@@ -134,16 +121,15 @@ class _Recorder:
         # |f| <= limit and -inf < residual <= limit; NaN fails every test.
         if not abs(fval) <= DIVERGENCE_LIMIT >= resid > -math.inf:
             raise DivergenceError(
-                f"{self.method}: diverged at iteration {k} (f = {fval:g}, residual = {resid:g})",
-                partial_trace=self.trace(x, v, l),
+                f"{self.method}: diverged at iteration {len(self.fvals) - 1} (f = {fval:g}, residual = {resid:g})",
+                partial_trace=self.trace(x, v),
             )
 
     def fill(self, max_iter):
         """Repeat the last row for every iteration up to ``max_iter``, for a
         run whose state no longer changes: same value, residual, restart
         origin and iterates, no restart and no crossing."""
-        n = max_iter - self.iters[-1]
-        self.iters.extend(range(self.iters[-1] + 1, max_iter + 1))
+        n = max_iter + 1 - len(self.fvals)
         self.fvals.extend([self.fvals[-1]] * n)
         self.residuals.extend([self.residuals[-1]] * n)
         self.restarts.extend([False] * n)
@@ -155,17 +141,16 @@ class _Recorder:
             self.xs.extend([self.xs[-1]] * n)
             self.vs.extend([self.vs[-1]] * n)
 
-    def trace(self, x, v=None, l=None):
-        """The rows so far, ending in state (x, v) with last restart l;
-        runners without a velocity or restart index report zeros."""
+    def trace(self, x, v=None):
+        """The rows so far, ending in iterate x with velocity v."""
         return Trace(
             method=self.method,
             step=self.step,
-            iters=np.asarray(self.iters, dtype=int),
             fvals=np.asarray(self.fvals, dtype=float),
             residuals=np.asarray(self.residuals, dtype=float),
             restarts=np.asarray(self.restarts, dtype=bool),
-            final_state=DiscreteState(x, np.zeros_like(x) if v is None else v, self.iters[-1], l or 0),
+            x=x,
+            v=v,
             restart_origin=np.asarray(self.origins, dtype=int) if self.origins else None,
             xs=None if self.xs is None else np.asarray(self.xs),
             vs=None if self.vs is None or any(u is None for u in self.vs) else np.asarray(self.vs),
@@ -241,7 +226,7 @@ def _rcm_loop(value, oracle, L, x0, h, criterion, max_iter, keep_iterates, metho
     g = oracle(x)
     l = 0
     rec = _Recorder(method, h, keep_iterates)
-    rec.add(0, value(x), math.sqrt(g.dot(g)), False, x, v, l, crossed)
+    rec.add(value(x), math.sqrt(g.dot(g)), False, x, v, l, crossed)
 
     for k in range(max_iter):
         v_trial = v - h * g
@@ -263,7 +248,7 @@ def _rcm_loop(value, oracle, L, x0, h, criterion, max_iter, keep_iterates, metho
         x, v = x_new, v_new
         # Without a crossing, x is the point g_new was evaluated at.
         g = oracle(x) if g_new is None or crossed else g_new
-        rec.add(k + 1, value(x), math.sqrt(g.dot(g)), fire, x, v, l, crossed)
+        rec.add(value(x), math.sqrt(g.dot(g)), fire, x, v, l, crossed)
         # A state at rest repeats f; comparing f first keeps the array
         # tests off nearly every other iteration.
         if (rec.fvals[-1] == rec.fvals[-2] and not v.any()
@@ -271,7 +256,7 @@ def _rcm_loop(value, oracle, L, x0, h, criterion, max_iter, keep_iterates, metho
             rec.fill(max_iter)
             break
 
-    return rec.trace(x, v, l)
+    return rec.trace(x, v)
 
 
 def rcm_run(obj: SmoothObjective, x0, h: float, criterion: str, max_iter: int, keep_iterates: bool = False) -> Trace:
@@ -298,11 +283,11 @@ def gradient_descent_run(obj: SmoothObjective, x0, s: float, max_iter: int, keep
     x = np.array(x0, dtype=float)
     g = grad(x)
     rec = _Recorder("gd", s, keep_iterates)
-    rec.add(0, fval(x), math.sqrt(g.dot(g)), False, x)
-    for k in range(max_iter):
+    rec.add(fval(x), math.sqrt(g.dot(g)), False, x)
+    for _ in range(max_iter):
         x = x - s * g
         g = grad(x)
-        rec.add(k + 1, fval(x), math.sqrt(g.dot(g)), False, x)
+        rec.add(fval(x), math.sqrt(g.dot(g)), False, x)
     return rec.trace(x)
 
 
@@ -332,8 +317,8 @@ def _momentum_run(obj, x0, s, momentum, max_iter, keep_iterates, method, restart
     g = grad(x)
     j = 0
     rec = _Recorder(method, s, keep_iterates)
-    rec.add(0, fval(x), math.sqrt(g.dot(g)), False, x)
-    for k in range(max_iter):
+    rec.add(fval(x), math.sqrt(g.dot(g)), False, x)
+    for _ in range(max_iter):
         x_old = x
         beta = momentum(j)
         y_new = x - s * g
@@ -349,7 +334,7 @@ def _momentum_run(obj, x0, s, momentum, max_iter, keep_iterates, method, restart
             j = 0
         else:
             j += 1
-        rec.add(k + 1, fval(x), math.sqrt(g.dot(g)), fire, x)
+        rec.add(fval(x), math.sqrt(g.dot(g)), fire, x)
         # A fixed state repeats f; comparing f first keeps the array tests
         # off nearly every other iteration.
         if rec.fvals[-1] == rec.fvals[-2] and not dy.any() and np.array_equal(x, x_old):

@@ -122,9 +122,10 @@ __all__ = [
 class ExperimentConfig:
     """One benchmark family: problem, sizes, repetitions, and methods.
 
-    ``h`` and ``s`` override the default step sizes h = 1/sqrt(L) and
-    s = 1/L.  ``methods`` defaults to the roster of the corresponding
-    benchmark figure.
+    Conservative methods take the step h = 1/sqrt(L); ``s`` overrides the
+    gradient step s = 1/L of the other methods, not of the f* reference.
+    ``methods`` defaults to the roster of the corresponding benchmark
+    figure.
     """
 
     problem: str
@@ -135,7 +136,6 @@ class ExperimentConfig:
     max_iter: int = 1000
     base_seed: int = 0
     methods: tuple = ()
-    h: Optional[float] = None
     s: Optional[float] = None
 
     def __post_init__(self):
@@ -146,10 +146,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.base_seed < 0:
             raise ValueError("base_seed must be >= 0")
-        for name in ("h", "s"):
-            step = getattr(self, name)
-            if step is not None and not 0 < step < np.inf:
-                raise ValueError(f"{name} must be positive and finite")
+        if self.s is not None and not 0 < self.s < np.inf:
+            raise ValueError("s must be positive and finite")
         methods = tuple(self.methods) or DEFAULT_METHODS[(self.problem, self.l1)]
         object.__setattr__(self, "methods", methods)
         for name in methods:
@@ -214,10 +212,7 @@ def build_instance(config: ExperimentConfig, rep: int):
 def _run_method(name: str, obj, x0, config: ExperimentConfig):
     method = METHODS[name]
     L = obj.smooth.lipschitz if method.composite else obj.lipschitz
-    if method.step == "h":
-        step = config.h if config.h is not None else 1.0 / np.sqrt(L)
-    else:
-        step = config.s if config.s is not None else 1.0 / L
+    step = 1.0 / np.sqrt(L) if method.step == "h" else (config.s or 1.0 / L)
     return method.run(obj, x0, step, config.max_iter)
 
 
@@ -264,7 +259,7 @@ def _dual_gap_stop(f: CompositeObjective):
     return stop
 
 
-def estimate_fstar(obj, x0, budget: int, s: Optional[float] = None) -> float:
+def estimate_fstar(obj, x0, budget: int) -> float:
     """Estimate of the minimum value f* for the gap column.
 
     f* comes from one of three sources:
@@ -282,7 +277,8 @@ def estimate_fstar(obj, x0, budget: int, s: Optional[float] = None) -> float:
       rounding of both sums, above it.
     - **Reference minimum.**  Everything else takes the minimum value along
       a restarted reference run (NAG-C-restart for smooth problems,
-      FISTA-restart for composites) of ten times the experiment budget.
+      FISTA-restart for composites) of ten times the experiment budget,
+      at the step 1/L whatever step the methods take.
 
     A reference minimum is a value the reference reached, so it is at least
     f*: an estimate from above.  Rows of a method that dips below it get
@@ -297,12 +293,10 @@ def estimate_fstar(obj, x0, budget: int, s: Optional[float] = None) -> float:
     if isinstance(obj, QuadraticObjective):
         return _quadratic_min_value(obj)
     if isinstance(obj, CompositeObjective):
-        L = obj.smooth.lipschitz
         stop = _dual_gap_stop(obj) if isinstance(obj.smooth, LogisticObjective) else None
-        trace = comp.fista_restart_run(obj, x0, s if s is not None else 1.0 / L, 10 * budget, _stop=stop)
+        trace = comp.fista_restart_run(obj, x0, 1.0 / obj.smooth.lipschitz, 10 * budget, _stop=stop)
     else:
-        L = obj.lipschitz
-        trace = disc.nag_c_restart_run(obj, x0, s if s is not None else 1.0 / L, 10 * budget)
+        trace = disc.nag_c_restart_run(obj, x0, 1.0 / obj.lipschitz, 10 * budget)
     return float(np.min(trace.fvals))
 
 
@@ -310,7 +304,7 @@ def _rep_rows(config: ExperimentConfig, rep: int) -> Tuple[List[ResultRow], int]
     """Rows of every configured method on repetition ``rep``, and the number
     of gaps clipped to 0."""
     obj, x0 = build_instance(config, rep)
-    f_star = estimate_fstar(obj, x0, config.max_iter, s=config.s)
+    f_star = estimate_fstar(obj, x0, config.max_iter)
     rows = []
     clipped = 0
     for name in config.methods:
@@ -325,12 +319,12 @@ def _rep_rows(config: ExperimentConfig, rep: int) -> Tuple[List[ResultRow], int]
         clipped += int(np.count_nonzero(negative))
         gaps[negative] = 0.0
         rows.extend(map(ResultRow._make, zip(
-            repeat(name), repeat(rep), trace.iters.tolist(), trace.fvals.tolist(), gaps.tolist(),
+            repeat(name), repeat(rep), range(len(trace)), trace.fvals.tolist(), gaps.tolist(),
             trace.residuals.tolist(), trace.restarts.astype(int).tolist(),
         )))
         if diverged:
             nan = float("nan")
-            rows.append(ResultRow(name, rep, int(trace.iters[-1]) + 1, nan, nan, nan, 0))
+            rows.append(ResultRow(name, rep, len(trace), nan, nan, nan, 0))
     return rows, clipped
 
 

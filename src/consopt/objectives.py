@@ -81,7 +81,6 @@ class QuadraticObjective(SmoothObjective):
 
     A: Array
     b: Array
-    eigen_bounds: tuple
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -210,7 +209,6 @@ def quadratic_objective(A, b) -> QuadraticObjective:
         strong_convexity=lam_min,
         A=A,
         b=b,
-        eigen_bounds=(lam_min, lam_max),
     )
 
 

@@ -90,11 +90,8 @@ class TestRcmComp:
         h = 1.0 / np.sqrt(smooth.lipschitz)
         a = rcm_run(smooth, x0, h, criterion, 250, keep_iterates=True)
         b = rcm_comp_run(f, x0, h, criterion, 250, keep_iterates=True)
-        for col in ("iters", "fvals", "residuals", "restarts", "restart_origin", "xs", "vs"):
+        for col in ("fvals", "residuals", "restarts", "restart_origin", "xs", "vs", "x", "v"):
             assert getattr(a, col).tobytes() == getattr(b, col).tobytes(), col
-        sa, sb = a.final_state, b.final_state
-        assert (sa.x.tobytes(), sa.v.tobytes(), sa.iter, sa.last_restart) == (
-            sb.x.tobytes(), sb.v.tobytes(), sb.iter, sb.last_restart)
         assert a.crossings is None
         assert b.crossings.dtype == bool and len(b.crossings) == len(b) and not b.crossings.any()
 
@@ -175,6 +172,8 @@ class TestFista:
         f = quad_l1(n=5, seed=3)
         trace = fista_run(f, np.zeros(5), 1.0 / f.smooth.lipschitz, 37)
         assert len(trace) == 38
+        # FISTA has no velocity and never crosses by projection.
+        assert trace.v is None and trace.crossings is None
 
 
 class TestFistaRestart:
@@ -183,7 +182,7 @@ class TestFistaRestart:
         f = quad_l1(n=8, seed=7)
         s = 1.0 / f.smooth.lipschitz
         long = fista_restart_run(f, np.zeros(8), s, 4000)
-        x_star = long.final_state.x
+        x_star = long.x
         trace = fista_restart_run(f, x_star, s, 50)
         assert trace.restarts.sum() == 0
 
@@ -219,7 +218,7 @@ class TestFixedPoint:
         x0 = np.random.default_rng(10).standard_normal(30)
         s = 1.0 / f.smooth.lipschitz
         trace = fista_restart_run(f, x0, s, 6000)
-        x = trace.final_state.x
+        x = trace.x
         prox_residual = np.linalg.norm(x - prox_l1(x - s * f.smooth.gradient(x), s * f.l1_weight))
         sub_residual = np.linalg.norm(minimal_norm_subgradient(f, x))
         assert prox_residual <= 1e-8
@@ -229,7 +228,7 @@ class TestFixedPoint:
         f = quad_l1(n=30, seed=10)
         x0 = np.random.default_rng(10).standard_normal(30)
         trace = fista_restart_run(f, x0, 1.0 / f.smooth.lipschitz, 6000)
-        x = trace.final_state.x
+        x = trace.x
         assert np.any(x == 0.0)  # the l1 weight rule keeps some sparsity
 
 
@@ -251,4 +250,4 @@ def test_nan_gradient_at_zero_coordinate_reaches_divergence_check(run):
     f = CompositeObjective(smooth=smooth, l1_weight=2.0)
     with pytest.raises(DivergenceError, match=r"diverged at iteration 1 \(f = [^,]+, residual = nan\)") as info:
         run(f, np.array([2.0, -0.3]))
-    assert info.value.partial_trace.final_state.x[1] == 0.0
+    assert info.value.partial_trace.x[1] == 0.0

@@ -15,7 +15,7 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -27,7 +27,7 @@ from consopt.continuous import (
     kinetic_max_restart_time,
     run_piecewise_conservative,
 )
-from consopt.discrete import RESTART_CRITERIA, DivergenceError, nag_c_restart_run, nag_c_run, nag_sc_run, rcm_run
+from consopt.discrete import RESTART_CRITERIA, DivergenceError, Trace, nag_c_restart_run, nag_c_run, nag_sc_run, rcm_run
 from consopt.harness import ExperimentConfig, build_instance, run_experiment, write_csv
 from consopt.objectives import CompositeObjective, gen_random_quadratic, quadratic_objective
 
@@ -91,14 +91,27 @@ def _integrate_conservative():
     return _sha(traj.times, traj.xs, traj.vs, np.float64(traj.energy_drift))
 
 
+# The Trace fields that _trace_bytes hashes, besides method, step, x and v.
+TRACE_COLUMNS = ("fvals", "residuals", "restarts", "restart_origin", "crossings", "xs", "vs")
+
+
 def _trace_bytes(trace):
-    """Every column of a Trace, with a marker for the absent ones."""
+    """Every field of a Trace, with a marker for the absent columns, laid
+    out as the digests were pinned: the row index as an ``iters`` column,
+    zeros for an absent v, and then the last row index and the last
+    restart origin (0 without that column)."""
     chunks = [trace.method.encode(), np.float64(trace.step)]
-    for col in ("iters", "fvals", "residuals", "restarts", "restart_origin", "crossings", "xs", "vs"):
-        a = getattr(trace, col)
+    columns = {"iters": np.arange(len(trace)), **{col: getattr(trace, col) for col in TRACE_COLUMNS}}
+    for col, a in columns.items():
         chunks += [col.encode(), b"none"] if a is None else [col.encode(), str(a.dtype).encode(), np.array(a.shape), a]
-    s = trace.final_state
-    return chunks + [s.x, s.v, np.array([s.iter, s.last_restart])]
+    v = np.zeros_like(trace.x) if trace.v is None else trace.v
+    last = 0 if trace.restart_origin is None else trace.restart_origin[-1]
+    return chunks + [trace.x, v, np.array([len(trace) - 1, last])]
+
+
+def test_trace_bytes_cover_every_trace_field():
+    # A field added to Trace must be hashed too, or it escapes the pins.
+    assert {f.name for f in fields(Trace)} == {"method", "step", "x", "v", *TRACE_COLUMNS}
 
 
 def _rcm_traces():

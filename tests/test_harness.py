@@ -41,7 +41,7 @@ def _scalar_rows(config):
     rows, counts = [], []
     for rep in range(config.reps):
         obj, x0 = build_instance(config, rep)
-        f_star = estimate_fstar(obj, x0, config.max_iter, s=config.s)
+        f_star = estimate_fstar(obj, x0, config.max_iter)
         clipped = 0
         for name in config.methods:
             try:
@@ -55,12 +55,12 @@ def _scalar_rows(config):
                 if gap < 0.0:
                     clipped += 1
                     gap = 0.0
-                rows.append(ResultRow(method=name, rep=rep, iter=int(trace.iters[i]),
+                rows.append(ResultRow(method=name, rep=rep, iter=i,
                                       fval=float(trace.fvals[i]), gap=float(gap),
                                       residual=float(trace.residuals[i]), restart=int(trace.restarts[i])))
             if diverged:
                 nan = float("nan")
-                rows.append(ResultRow(name, rep, int(trace.iters[-1]) + 1, nan, nan, nan, 0))
+                rows.append(ResultRow(name, rep, len(trace), nan, nan, nan, 0))
         counts.append(clipped)
     return rows, counts
 
@@ -94,7 +94,7 @@ class TestConfig:
             ExperimentConfig(problem="quadratic", l1=True, methods=("gd",))
 
     @pytest.mark.parametrize(
-        "field, value", [("h", 0.0), ("s", -1.0), ("h", float("nan")), ("h", float("inf")), ("s", float("inf"))]
+        "field, value", [("s", 0.0), ("s", -1.0), ("s", float("nan")), ("s", float("inf"))]
     )
     def test_rejects_non_positive_step(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be positive"):
@@ -349,7 +349,9 @@ class TestCli:
                      ["mmd-bounds", "--mu", "1e-300", "--L", "1"], ["kinetic-1d", "--mu", "1e160"],
                      ["kinetic-1d", "--mu", "1e300"], ["kinetic-1d", "--mu", "1e-300"],
                      ["mmd-bounds", "--mu", "1e160", "--L", "1e160"],
-                     ["small-time", "--mu", "1", "--L", "1e160", "--n", "3"], ["conv-cont", "--mu", "1e200", "--L", "1e200"]):
+                     ["small-time", "--mu", "1", "--L", "1e160", "--n", "3"], ["conv-cont", "--mu", "1e200", "--L", "1e200"],
+                     ["conv-cont", "--mu", "1", "--L", "1e140", "--n", "3"], ["length", "--mu", "1e-125", "--L", "1", "--n", "2"],
+                     ["mmd-bounds", "--mu", "1e300", "--L", "1.7e308"]):
             with pytest.raises(SystemExit) as info, warnings.catch_warnings():
                 warnings.simplefilter("error")  # rejected before any arithmetic warns
                 cli_main(["continuous", *args])
@@ -358,7 +360,9 @@ class TestCli:
     def test_large_finite_mu_still_runs(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert cli_main(["continuous", "kinetic-1d", "--mu", "1e150"]) in (0, 1)
+            for args in (["kinetic-1d", "--mu", "1e150"], ["kinetic-1d", "--mu", "1e-150"],
+                         ["visiting-time", "--mu", "1e-150"], ["visiting-time", "--mu", "1e-12"]):
+                assert cli_main(["continuous", *args]) == 0
             assert cli_main(["continuous", "mmd-bounds", "--mu", "1e150", "--L", "1e150"]) == 0
 
     def test_unknown_subcommand_exits_2(self):

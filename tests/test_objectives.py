@@ -64,7 +64,7 @@ class TestRandomQuadratic:
 
     def test_eigenvalues_within_range(self):
         obj = gen_random_quadratic(1000, 0.03, 15.0, 12345)
-        lo, hi = obj.eigen_bounds
+        lo, hi = obj.strong_convexity, obj.lipschitz
         assert lo >= 0.03 - 1e-9
         assert hi <= 15.0 + 1e-9
 
