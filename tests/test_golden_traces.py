@@ -4,7 +4,8 @@ Each case hashes exact output bytes on fixed seeds: the CSV that
 ``write_csv`` writes for a small family and for the quadratic family at the
 benchmark's size, every column of the restart and Nesterov loops' traces,
 the raw arrays of an integrated trajectory, and the floats of restart
-events and bound reports.  A change that alters any trace by even one ulp
+events and bound reports, on small flows and on the flow at the
+benchmark's size.  A change that alters any trace by even one ulp
 changes a digest.  When a change is meant to alter traces, the new digests
 go in with an explanation of the difference in CHANGES.md.
 """
@@ -36,6 +37,7 @@ NEEDS_MU = ("nag-sc", "nag-sc-under")
 COMPOSITE = ("fista", "fista-restart", "rcm-comp-grad", "rcm-comp-kin", "rcm-comp-mmd-r", "rcm-comp-mmd-dr")
 
 GOLDEN = {
+    "bench-flow": "ae637c9a9602bb16685385676239966556bbb5ebd6332bdb885461a8ea6d851c",
     "bench-quadratic": "5f5440a698e46c780c45caa1e407800e0362782eb69e04041ab49d24f3b55557",
     "csv-quadratic": "ca329359259067b4d433fe70440eda2569ec12cc1beb38d8f5fce6f7df3e0e2b",
     "csv-quadratic-l1": "11889a5c829cbd71e0b2967b360cb786a884f98856fc5fa96510ffb7f3a5cbae",
@@ -188,12 +190,37 @@ def _kinetic_energy_maxima():
     return _sha(*_event_bytes(events + [one_d]))
 
 
-def _piecewise_conservative():
-    obj, x0 = _quadratic(4, 5)
-    res = run_piecewise_conservative(obj, x0, dt=0.002, n_restarts=3, record_every=16)
+def _flow_bytes(res):
     traj = res.trajectory
     text = json.dumps({"segments": res.segments, "reports": res.reports}, sort_keys=True).encode()
-    return _sha(text, traj.times, traj.xs, traj.vs, *_event_bytes(traj.events))
+    return [text, traj.times, traj.xs, traj.vs, *_event_bytes(traj.events)]
+
+
+def _piecewise_conservative():
+    obj, x0 = _quadratic(4, 5)
+    return _sha(*_flow_bytes(run_piecewise_conservative(obj, x0, dt=0.002, n_restarts=3, record_every=16)))
+
+
+def bench_flow_digest():
+    """Digest of the piecewise conservative flow at the benchmark's size:
+    seeded 50-dimensional quadratics, 3 restarts, the default dt."""
+    chunks = []
+    for seed in (5, 6):
+        obj = gen_random_quadratic(50, 0.03, 15.0, seed)
+        x0 = np.random.default_rng([seed, 1]).standard_normal(50)
+        chunks += _flow_bytes(run_piecewise_conservative(obj, x0, n_restarts=3))
+    return _sha(*chunks)
+
+
+def _bench_flow():
+    """``bench_flow_digest`` computed in a child process with BLAS pinned to
+    one thread, as the benchmark runs: the flow's f* for its bound reports
+    is an exact solve, whose last bits may depend on the BLAS thread count."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import test_golden_traces as g; print(g.bench_flow_digest())"
+    out = subprocess.run([sys.executable, "-c", code, os.path.dirname(os.path.abspath(__file__))], env=env,
+                         check=True, capture_output=True, text=True)
+    return out.stdout.strip()
 
 
 @pytest.mark.filterwarnings("ignore:rep .* clipped")
@@ -204,6 +231,8 @@ def test_golden_digest(name, tmp_path):
         digest = _sha(_family_csv(problem, l1 == "l1", tmp_path))
     elif name == "bench-quadratic":
         digest = _sha(_bench_quadratic(tmp_path))
+    elif name == "bench-flow":
+        digest = _bench_flow()
     else:
         digest = {
             "integrate-conservative": _integrate_conservative,

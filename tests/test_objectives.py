@@ -1,3 +1,4 @@
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -17,6 +18,7 @@ from consopt.objectives import (
     logistic_objective,
     logsumexp_objective,
     minimal_norm_subgradient,
+    power_iteration,
     quadratic_objective,
 )
 
@@ -441,3 +443,47 @@ def test_oracle_is_bit_equal_to_its_formula(family, n):
         assert type(alone) is float and type(after) is float
         assert alone.hex() == after.hex() == value(x).hex()
         assert g.tobytes() == gradient(x).tobytes()
+
+
+def _power_iteration_formula(A):
+    """lambda_max(A A') by the power iteration written out in the NumPy
+    operators: the matvec A @ (A' @ v) and the norm np.linalg.norm."""
+    v = np.full(A.shape[0], 1.0 / np.sqrt(A.shape[0]))
+    lam = 0.0
+    for _ in range(10_000):
+        w = A @ (A.T @ v)
+        lam_new = float(np.linalg.norm(w))
+        if lam_new == 0.0:
+            return 0.0
+        v = w / lam_new
+        if abs(lam_new - lam) <= 1e-8 * lam_new:
+            return lam_new
+        lam = lam_new
+    raise AssertionError("the reference did not converge")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_power_iteration_is_bit_equal_to_its_formula(seed):
+    """The Lipschitz bounds of the logistic and log-sum-exp families at the
+    benchmark's 50 x 200 carry the written-out power iteration's bits."""
+    A, y, _ = gen_logistic_instance(50, 200, seed)
+    M, c = gen_logsumexp_instance(50, 200, seed)
+    lam_a, lam_m = _power_iteration_formula(A), _power_iteration_formula(M)
+    assert power_iteration(lambda v: A @ (A.T @ v), 50).hex() == lam_a.hex()
+    assert logistic_objective(A, y).lipschitz.hex() == (0.25 * lam_a).hex()
+    for rho in (1.0, 0.7):
+        assert logsumexp_objective(M, c, rho).lipschitz.hex() == (lam_m / rho).hex()
+
+
+def test_dot_norm_is_numpy_norm():
+    """sqrt(g . g) is np.linalg.norm(g) bit for bit on real vectors, also
+    where g . g underflows to 0 or overflows to inf."""
+    rng = np.random.default_rng(0)
+    norms = []
+    with np.errstate(over="ignore"):
+        for scale in np.logspace(-170, 170, 69):
+            for n in (1, 8, 50, 200):
+                g = scale * rng.standard_normal(n)
+                norms.append(math.sqrt(g.dot(g)))
+                assert norms[-1].hex() == float(np.linalg.norm(g)).hex()
+    assert 0.0 in norms and math.inf in norms
