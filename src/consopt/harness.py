@@ -45,22 +45,28 @@ class Method:
 
     ``run(obj, x0, step, max_iter)`` calls the runner, looked up on its
     module at call time; ``step`` names the step size it takes ("h" for the
-    conservative step, "s" for the gradient step).  ``needs_mu`` methods
-    read the objective's strong convexity constant, which only quadratic
-    problems carry; ``composite`` methods run on l1-composite objectives
+    conservative step, "s" for the gradient step).  Methods with a
+    ``mu_divisor`` run NAG-SC with mu the objective's strong convexity
+    constant divided by it, which only quadratic problems carry;
+    ``composite`` methods run on l1-composite objectives
     only, and ``rosters`` lists the problems whose default roster (a
     benchmark figure) includes the method.
     """
 
     run: Callable
     step: str
-    needs_mu: bool = False
+    mu_divisor: Optional[float] = None
     composite: bool = False
     rosters: tuple = PROBLEMS
 
 
 def _rcm(criterion):
     return Method(lambda obj, x0, h, k: disc.rcm_run(obj, x0, h, criterion, k), "h")
+
+
+def _nag_sc(mu_divisor):
+    return Method(lambda obj, x0, s, k: disc.nag_sc_run(obj, x0, s, obj.strong_convexity / mu_divisor, k), "s",
+                  mu_divisor=mu_divisor, rosters=("quadratic",))
 
 
 def _rcm_comp(criterion):
@@ -72,10 +78,8 @@ METHODS = {
     "gd": Method(lambda obj, x0, s, k: disc.gradient_descent_run(obj, x0, s, k), "s",
                  rosters=("logistic", "logsumexp")),
     "nag-c": Method(lambda obj, x0, s, k: disc.nag_c_run(obj, x0, s, k), "s", rosters=()),
-    "nag-sc": Method(lambda obj, x0, s, k: disc.nag_sc_run(obj, x0, s, obj.strong_convexity, k), "s",
-                     needs_mu=True, rosters=("quadratic",)),
-    "nag-sc-under": Method(lambda obj, x0, s, k: disc.nag_sc_run(obj, x0, s, obj.strong_convexity / 3.0, k), "s",
-                           needs_mu=True, rosters=("quadratic",)),
+    "nag-sc": _nag_sc(1.0),
+    "nag-sc-under": _nag_sc(3.0),
     "nag-c-restart": Method(lambda obj, x0, s, k: disc.nag_c_restart_run(obj, x0, s, k), "s"),
     "rcm-grad": _rcm("grad"),
     "rcm-mmd-dr": _rcm("mmd-dr"),
@@ -154,7 +158,7 @@ class ExperimentConfig:
             if name not in METHODS or METHODS[name].composite != self.l1:
                 kind = "composite" if self.l1 else "smooth"
                 raise ValueError(f"{name!r} is not a registered {kind} method")
-            if METHODS[name].needs_mu and self.problem != "quadratic":
+            if METHODS[name].mu_divisor is not None and self.problem != "quadratic":
                 raise ValueError(f"{name!r} needs a strong convexity constant, which {self.problem} lacks")
 
 
@@ -209,11 +213,14 @@ def build_instance(config: ExperimentConfig, rep: int):
     return CompositeObjective(smooth=smooth, l1_weight=gamma), x0
 
 
+def _step(method: Method, obj, config: ExperimentConfig) -> float:
+    L = obj.smooth.lipschitz if method.composite else obj.lipschitz
+    return 1.0 / np.sqrt(L) if method.step == "h" else (config.s or 1.0 / L)
+
+
 def _run_method(name: str, obj, x0, config: ExperimentConfig):
     method = METHODS[name]
-    L = obj.smooth.lipschitz if method.composite else obj.lipschitz
-    step = 1.0 / np.sqrt(L) if method.step == "h" else (config.s or 1.0 / L)
-    return method.run(obj, x0, step, config.max_iter)
+    return method.run(obj, x0, _step(method, obj, config), config.max_iter)
 
 
 # Width of the dual certificate, in ulps of |f*|.  f and D are sums of m
@@ -302,8 +309,15 @@ def estimate_fstar(obj, x0, budget: int) -> float:
 
 def _rep_rows(config: ExperimentConfig, rep: int) -> Tuple[List[ResultRow], int]:
     """Rows of every configured method on repetition ``rep``, and the number
-    of gaps clipped to 0."""
+    of gaps clipped to 0.  A NAG-SC momentum out of range on this instance
+    raises ValueError before f* is estimated or any method runs."""
     obj, x0 = build_instance(config, rep)
+    for name in config.methods:
+        method = METHODS[name]
+        if method.mu_divisor is not None:
+            mu_s = obj.strong_convexity / method.mu_divisor * _step(method, obj, config)
+            if mu_s > 1.0:  # as nag_sc_run would refuse it
+                raise ValueError(f"{name} on rep {rep}: mu * s = {mu_s:g} > 1: momentum coefficient out of range")
     f_star = estimate_fstar(obj, x0, config.max_iter)
     rows = []
     clipped = 0

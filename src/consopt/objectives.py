@@ -20,6 +20,7 @@ less of NumPy's dispatch cost, which at these sizes rivals the arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -164,7 +165,7 @@ def power_iteration(matvec, n: int) -> float:
     lam = 0.0
     for _ in range(10_000):
         w = matvec(v)
-        lam_new = float(np.linalg.norm(w))
+        lam_new = math.sqrt(w.dot(w))
         if lam_new == 0.0:
             return 0.0
         v = w / lam_new
@@ -258,7 +259,7 @@ def logistic_objective(A, y) -> LogisticObjective:
         raise ValueError("y length must equal the number of columns of A")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("y entries must lie in {0, 1}")
-    lam = power_iteration(lambda v: A @ (A.T @ v), n)
+    lam = power_iteration(lambda v: A.dot(A.T.dot(v)), n)
 
     not_y = 1.0 - y
     value, gradient = _shared_product(
@@ -306,7 +307,7 @@ def logsumexp_objective(A, b, rho: float) -> LogSumExpObjective:
     n, m = A.shape
     if b.shape != (m,):
         raise ValueError("b length must equal the number of columns of A")
-    lam = power_iteration(lambda v: A @ (A.T @ v), n)
+    lam = power_iteration(lambda v: A.dot(A.T.dot(v)), n)
 
     value, gradient = _shared_product(
         lambda x: (A.T.dot(x) - b) / rho,

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from consopt import discrete
+from consopt import discrete, harness
 from consopt.composite import fista_restart_run
 from consopt.harness import (
     DUAL_GAP_ULPS,
@@ -166,13 +166,30 @@ class TestRunExperiment:
         for name, method in METHODS.items():
             if method.composite != l1:
                 continue
-            if method.needs_mu and not has_mu:
+            if method.mu_divisor is not None and not has_mu:
                 with pytest.raises(ValueError, match="strong convexity"):
                     run_experiment(replace(cfg, methods=(name,)))
                 continue
             rows = run_experiment(replace(cfg, methods=(name,)))
             assert [r.iter for r in rows] == list(range(cfg.max_iter + 1)), name
             assert all(np.isfinite([r.fval, r.gap, r.residual]).all() for r in rows), name
+
+    @pytest.mark.filterwarnings("ignore:.* exceeds 1/L")
+    def test_nag_sc_momentum_out_of_range_is_refused_before_any_work(self, monkeypatch):
+        cfg = ExperimentConfig(problem="quadratic", n=4, s=10.0, max_iter=5, methods=("nag-sc", "gd"))
+        mu = build_instance(cfg, 0)[0].strong_convexity
+        assert mu * 10.0 > 1.0 >= mu / 3.0 * 10.0
+        rows = run_experiment(replace(cfg, methods=("nag-sc-under", "gd")))
+        assert {r.method for r in rows} == {"nag-sc-under", "gd"}
+
+        def called(*args, **kwargs):
+            raise AssertionError("work started on a refused rep")
+
+        monkeypatch.setattr(harness, "estimate_fstar", called)
+        for name in ("nag_sc_run", "gradient_descent_run"):
+            monkeypatch.setattr(discrete, name, called)
+        with pytest.raises(ValueError, match=rf"^nag-sc on rep 0: mu \* s = {mu * 10.0:g} > 1"):
+            run_experiment(cfg)
 
     def test_composite_rows(self):
         cfg = ExperimentConfig(problem="quadratic", l1=True, n=10, reps=1, max_iter=50,
