@@ -13,9 +13,10 @@ stale product, and the stored (key, product) pair is replaced by one atomic
 rebinding.  Generators are pure functions of their sizes and seed (PCG64
 streams via ``numpy.random.default_rng``).
 
-The oracles call ``ndarray.dot``, not ``@``, and finish the quadratic value
-in floats: the same BLAS calls and IEEE operations, so the same bits, at
-less of NumPy's dispatch cost, which at these sizes rivals the arithmetic.
+The oracles and the power iteration behind the Lipschitz bounds call
+``ndarray.dot``, not ``@`` or ``np.linalg.norm``, and finish the quadratic
+value in floats: the same BLAS calls and IEEE operations, so the same bits,
+at less of NumPy's dispatch cost, which at these sizes rivals the arithmetic.
 """
 
 from __future__ import annotations
