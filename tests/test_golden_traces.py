@@ -26,11 +26,18 @@ from consopt.continuous import (
     integrate_conservative,
     kinetic_energy_maxima,
     kinetic_max_restart_time,
+    mmd_restart_time,
     run_piecewise_conservative,
 )
 from consopt.discrete import RESTART_CRITERIA, DivergenceError, Trace, nag_c_restart_run, nag_c_run, nag_sc_run, rcm_run
 from consopt.harness import ExperimentConfig, build_instance, run_experiment, write_csv
-from consopt.objectives import CompositeObjective, gen_random_quadratic, quadratic_objective
+from consopt.objectives import (
+    CompositeObjective,
+    gen_logsumexp_instance,
+    gen_random_quadratic,
+    logsumexp_objective,
+    quadratic_objective,
+)
 
 SMOOTH = ("gd", "nag-c", "nag-c-restart", "rcm-grad", "rcm-kin", "rcm-mmd-r", "rcm-mmd-dr")
 NEEDS_MU = ("nag-sc", "nag-sc-under")
@@ -48,6 +55,7 @@ GOLDEN = {
     "integrate-conservative": "e88c19747ea44466a9c59cd8fac2b429f901ede9e8e15a9dcd8e077e304ac2fd",
     "kinetic-energy-maxima": "527551dca9a6f133e9531d9d65bb7ecd59bf6394599d98ed04d66f47bf3989e1",
     "nesterov-traces": "022402632018302dd8c5cd15dc9ef914a2ad737a4969f6e90a81084638da1821",
+    "piecewise-coercive": "12b01cd2efd9c413957f77787dd4de20e82f3998eab09696e6c30390024b94a7",
     "piecewise-conservative": "c3faacf103d042b95f30aa69631f6bcdf0e5863c10377b8b3dd6eb638296a627",
     "rcm-traces": "d713a93cf5ee4616267b47ee723ee1a61b875e3b7889ee47da8fe6c8c784a763",
 }
@@ -201,6 +209,20 @@ def _piecewise_conservative():
     return _sha(*_flow_bytes(run_piecewise_conservative(obj, x0, dt=0.002, n_restarts=3, record_every=16)))
 
 
+def _piecewise_coercive():
+    """The flow on a log-sum-exp objective, which has no strong-convexity
+    constant: every cap is bootstrapped from the literal f* = 2.5, below the
+    minimum 2.8655..., so the digest needs no numerical f* solve.  The
+    default record_every, the first mean-dissipation event and the first
+    kinetic-energy event from the same start are pinned too."""
+    obj = logsumexp_objective(*gen_logsumexp_instance(4, 12, 21), 1.0)
+    x0 = np.ones(4)
+    res = run_piecewise_conservative(obj, x0, dt=0.005, n_restarts=3, f_star=2.5)
+    assert len(res.segments) == 3 and not res.reports
+    first = [mmd_restart_time(obj, x0, dt=0.005, f_star=2.5), kinetic_max_restart_time(obj, x0, dt=0.005, f_star=2.5)]
+    return _sha(*_flow_bytes(res), *_event_bytes(first))
+
+
 def bench_flow_digest():
     """Digest of the piecewise conservative flow at the benchmark's size:
     seeded 50-dimensional quadratics, 3 restarts, the default dt."""
@@ -238,6 +260,7 @@ def test_golden_digest(name, tmp_path):
             "integrate-conservative": _integrate_conservative,
             "kinetic-energy-maxima": _kinetic_energy_maxima,
             "nesterov-traces": _nesterov_traces,
+            "piecewise-coercive": _piecewise_coercive,
             "piecewise-conservative": _piecewise_conservative,
             "rcm-traces": _rcm_traces,
         }[name]()
