@@ -59,6 +59,7 @@ from .continuous import (
     mmd_restart_time,
     quadratic_closed_form,
     quadratic_fixed_interval_decrease,
+    restart_time_lower_bound,
     restart_time_upper_bound,
     run_piecewise_conservative,
     small_time_energy_check,

@@ -33,7 +33,7 @@ def _diag_quadratic(mu, L, n):
 def _check_mmd_bounds(args):
     obj, x0, _ = _diag_quadratic(args.mu, args.L, args.n)
     ev = cont.mmd_restart_time(obj, x0, dt=args.dt)
-    lower = np.sqrt(args.mu) / (8.0 * args.L)
+    lower = cont.restart_time_lower_bound(args.mu, args.L)
     upper = cont.restart_time_upper_bound(args.mu, args.L)
     g_ev = obj.gradient(ev.x)
     ek_bound = float(g_ev @ g_ev) / (2.0 * args.L)

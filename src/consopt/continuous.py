@@ -3,17 +3,19 @@
 The reference integrator is fixed-step Stormer-Verlet (velocity Verlet),
 which is second-order and symplectic, so the mechanical energy
 H = |v|^2/2 + f(x) drifts by O(dt^2) over a run and dt acts as a pure
-accuracy knob.  Restarts are located by sign-bracketing a scalar event
-function at the integration nodes and refining the bracket by bisection on
-cubic Hermite interpolants of (x, v), with the gradient always evaluated
-exactly at the interpolated point.
+accuracy knob.
 
-Two restart rules are provided: the mean-dissipation rule, which stops at
-the first local maximum of E_K(t)/t (detected as the first sign change of
-t*dE_K/dt - E_K), and the kinetic-energy rule, which stops at the first
-local maximum of E_K(t) and may legitimately never fire in more than one
-dimension.  Theoretical bounds are evaluated as structured reports of the
-form {bound_name, lhs, rhs, slack, pass}.
+Each of the two restart rules is one predicate after(t, g . v, v . v),
+true once the flow from rest is past the rule's event: the mean-dissipation
+rule past the first local maximum of E_K(t)/t (t*dE_K/dt - E_K < 0), the
+kinetic-energy rule at or past a local maximum of E_K(t), which may
+legitimately never come in more than one dimension.  One scan fires where
+the predicate turns true between two nodes, and bisects that bracket with
+the same predicate on cubic Hermite interpolants of (x, v), evaluating the
+gradient exactly at the interpolated point.  The first-event functions and
+every segment of the piecewise flow run through one segment helper, which
+sets the cap, runs the scan and builds the event.  Theoretical bounds are
+structured reports {bound_name, lhs, rhs, slack, pass}.
 
 The scan takes its per-step dots and norms with ``ndarray.dot``, not ``@``
 or ``np.linalg.norm``, and carries them as Python floats: the same BLAS
@@ -44,6 +46,7 @@ __all__ = [
     "ContinuousTrajectory",
     "PiecewiseResult",
     "default_time_step",
+    "restart_time_lower_bound",
     "restart_time_upper_bound",
     "integrate_conservative",
     "quadratic_closed_form",
@@ -132,10 +135,28 @@ def _check_dt(dt: float) -> float:
     return dt
 
 
+def _check_record_every(record_every) -> None:
+    """ValueError unless ``record_every`` is a positive integer."""
+    if not isinstance(record_every, (int, np.integer)) or record_every < 1:
+        raise ValueError("record_every must be a positive integer")
+
+
+def restart_time_lower_bound(mu: float, L: float) -> float:
+    """Uniform restart-time bound sqrt(mu) / (8 L) from below for the
+    mean-dissipation rule on a strongly convex function."""
+    return np.sqrt(mu) / (8.0 * L)
+
+
 def restart_time_upper_bound(mu: float, L: float) -> float:
     """Uniform restart-time bound 32 L / (mu sqrt(mu)) for the
     mean-dissipation rule on a strongly convex function."""
     return 32.0 * L / (mu * np.sqrt(mu))
+
+
+def _strong_upper_bound(obj: SmoothObjective) -> Optional[float]:
+    """``restart_time_upper_bound`` of a strongly convex ``obj``, else None."""
+    mu = obj.strong_convexity
+    return restart_time_upper_bound(mu, obj.lipschitz) if mu is not None and mu > 0 else None
 
 
 # -- cubic Hermite interpolation ----------------------------------------------
@@ -153,15 +174,16 @@ def _hermite(s: float, h: float, y0, d0, y1, d1):
     )
 
 
-def _refine_event(grad, make_test, is_after, node_a, node_b):
+def _refine_event(grad, after, node_a, node_b):
     """Bisect an event bracket on Hermite interpolants of (x, v).
 
     ``node_a``/``node_b`` are (t, x, v, g) at the bracketing integration
-    nodes, with g = grad f(x) and ``is_after`` false at a and true at b.
-    The velocity is interpolated with the accelerations -g of the two
-    nodes.  The scalar test is re-evaluated from the interpolated state
-    with the exact gradient until the bracket is ``EVENT_TIME_RELTOL``
-    narrow, at least once.  Returns the last state tested, (t, x, v, g).
+    nodes, with g = grad f(x) and the rule's predicate ``after`` false at a
+    and true at b.  The velocity is interpolated with the accelerations -g
+    of the two nodes.  The predicate is re-evaluated on the interpolated
+    state with the exact gradient until the bracket is
+    ``EVENT_TIME_RELTOL`` narrow, at least once.  Returns the last state
+    tested, (t, x, v, g).
     """
     ta, xa, va, ga = node_a
     tb, xb, vb, gb = node_b
@@ -174,7 +196,7 @@ def _refine_event(grad, make_test, is_after, node_a, node_b):
         x = _hermite(s, h, xa, va, xb, vb)
         v = _hermite(s, h, va, aa, vb, ab)
         g = grad(x)
-        if is_after(make_test(t, x, v, g)):
+        if after(t, float(g.dot(v)), float(v.dot(v))):
             hi = t
         else:
             lo = t
@@ -227,6 +249,7 @@ def integrate_conservative(
     shrinks like dt^2.
     """
     _check_dt(dt)
+    _check_record_every(record_every)
     if T <= dt:
         raise ValueError("T must exceed dt")
     n_steps = int(np.ceil(T / dt))
@@ -283,56 +306,47 @@ def initial_dissipation_slope(obj: SmoothObjective, x0) -> float:
     return 0.5 * float(g.dot(g))
 
 
-def _mmd_test(t, x, v, g):
-    # t * dE_K/dt - E_K with dE_K/dt = -grad f . v; negative past the first
-    # local maximum of the mean dissipation
-    return -t * float(g.dot(v)) - 0.5 * float(v.dot(v))
+def _mmd_after(t, q, vv):
+    # t dE_K/dt - E_K < 0, with q = grad f . v = -dE_K/dt and vv = v . v:
+    # past the first local maximum of E_K(t)/t
+    return -t * q - 0.5 * vv < 0.0
 
 
-def _kin_test(t, x, v, g):
-    # dE_K/dt changes sign where grad f . v does
-    return float(g.dot(v))
+def _kin_after(t, q, vv):
+    # dE_K/dt = -q <= 0: at or past a local maximum of E_K
+    return q >= 0.0
 
 
-def _scan_from_rest(obj, x0, g0, dt, horizon, mode, samples=None, stride=1):
-    """Integrate from rest at x0 up to ``horizon``, yielding each restart
-    event of ``mode`` in turn.
+def _scan_from_rest(obj, x0, g0, dt, horizon, after, samples=None, stride=1, t_offset=0.0):
+    """Integrate from rest at x0 up to ``horizon``, yielding in turn each
+    event of the restart rule ``after``.
 
-    ``g0`` is grad f(x0) when the caller already has it, else None.  Each
-    event is ((t, x, v, g), arc): the state refined by bisection and the
-    curve length from x0 to it.  After a kinetic event the test waits for
-    dE_K/dt > 0 again.  When ``samples`` is a list, the scan appends
-    (t, x, v) at every ``stride``-th node from node 0 as it moves on from
-    that node, so a node that fires is recorded only once the scan resumes
-    after its event.  At node 0 the velocity is zero, so neither test
-    fires there.
+    ``g0`` is grad f(x0) when the caller already has it, else None.  An
+    event fires at a node where ``after`` holds and did not at the node
+    before, so after a kinetic event the scan waits for dE_K/dt > 0 again;
+    nothing fires at node 0.  Each event is ((t, x, v, g), arc): the state
+    refined by bisection and the curve length from x0 to it.  When
+    ``samples`` is a list, the scan appends (t_offset + t, x, v) at every
+    ``stride``-th node after node 0 as it moves on from that node, so every
+    node recorded before an event lies before it.
     """
     grad = obj.gradient
     x0 = np.asarray(x0, dtype=float)
-    if mode == "mmd":
-        test, is_after = _mmd_test, lambda val: val < 0.0
-    else:
-        test, is_after = _kin_test, lambda val: val >= 0.0
     arc = 0.0
-    armed = False  # kinetic mode: becomes true once dE_K/dt > 0 was seen
+    was_after = True
     prev, prev_speed = None, 0.0
     for i, t, x, v, g, vv in _verlet(grad, x0, np.zeros_like(x0), dt, int(np.ceil(horizon / dt)), g0):
         speed = math.sqrt(vv)
-        q = float(g.dot(v))  # -dE_K/dt
-        if mode == "mmd":
-            fire = (-t * q - 0.5 * vv) < 0.0
-        else:
-            fire = armed and q >= 0.0
-            armed = not fire and (armed or q < 0.0)
         node = (t, x, v, g)
-        if fire:
-            state = _refine_event(grad, test, is_after, prev, node)
+        is_after = after(t, float(g.dot(v)), vv)
+        if is_after and not was_after:
+            state = _refine_event(grad, after, prev, node)
             t_ev, _, v_ev, _ = state
             yield state, arc + 0.5 * (t_ev - prev[0]) * (prev_speed + math.sqrt(v_ev.dot(v_ev)))
         arc += 0.5 * dt * (prev_speed + speed)
-        if samples is not None and i % stride == 0:
-            samples.append((t, x, v))
-        prev, prev_speed = node, speed
+        if samples is not None and i > 0 and i % stride == 0:
+            samples.append((t_offset + t, x, v))
+        prev, prev_speed, was_after = node, speed, is_after
 
 
 def _event_from_state(obj, state, arc, t_offset=0.0) -> RestartEvent:
@@ -348,38 +362,43 @@ def _event_from_state(obj, state, arc, t_offset=0.0) -> RestartEvent:
     )
 
 
-def _mmd_cap(obj, x0, dt, cap, f_star, g0):
-    if cap is not None:
-        return cap
-    mu = obj.strong_convexity
-    if mu is not None and mu > 0:
-        return 2.0 * restart_time_upper_bound(mu, obj.lipschitz)
-    if f_star is None:
-        raise ValueError(
-            "objective has no strong convexity constant: pass f_star (for the "
-            "coercive-function cap) or an explicit cap"
-        )
-    # Bootstrap the finite-restart cap from 16 Verlet steps from rest, whose
-    # first gradient g0 = grad f(x0) the caller already has.
-    for _, t1, _, _, _, vv1 in _verlet(obj.gradient, x0, np.zeros_like(g0), dt, 16, g0):
-        pass
-    ek1 = 0.5 * vv1
-    if ek1 <= 0.0:
-        raise RuntimeError("kinetic energy vanished during the cap bootstrap")
-    return finite_restart_cap(obj, x0, t1, ek1, f_star)
+def _segment(obj, x0, g0, dt, cap, t_r, f_star, after, samples=None, stride=1, t_offset=0.0):
+    """First event of the rule ``after`` on the flow from rest at x0, with
+    g0 = grad f(x0), on a segment that starts at ``t_offset``.
+
+    The scan stops at ``cap`` when given, else at twice the restart-time
+    bound ``t_r`` (None unless strongly convex), else at the finite-restart
+    cap bootstrapped from 16 Verlet steps and ``f_star``.  Returns (event,
+    grad f at the event, cap), or (None, None, cap) at the cap.
+    """
+    if cap is None and t_r is not None:
+        cap = 2.0 * t_r
+    elif cap is None:
+        if f_star is None:
+            raise ValueError("objective has no strong convexity constant: pass f_star (for the "
+                             "coercive-function cap) or an explicit cap")
+        for _, t1, _, _, _, vv1 in _verlet(obj.gradient, x0, np.zeros_like(g0), dt, 16, g0):
+            pass
+        ek1 = 0.5 * vv1
+        if ek1 <= 0.0:
+            raise RuntimeError("kinetic energy vanished during the cap bootstrap")
+        cap = finite_restart_cap(obj, x0, t1, ek1, f_star)
+    state, arc = next(_scan_from_rest(obj, x0, g0, dt, cap, after, samples, stride, t_offset), (None, None))
+    if state is None:
+        return None, None, cap
+    return _event_from_state(obj, state, arc, t_offset), state[3], cap
 
 
-def _first_event(obj, x0, dt, cap, f_star, mode):
-    """First restart event of ``mode`` on the flow from rest at x0, or None
-    when the scan reaches the cap; also returns the cap."""
+def _first_event(obj, x0, dt, cap, f_star, after):
+    """First event of the rule ``after`` on the flow from rest at x0, or
+    None when the scan reaches the cap; also returns the cap."""
     dt = default_time_step(obj) if dt is None else _check_dt(dt)
     x0 = np.asarray(x0, dtype=float)
     g0 = obj.gradient(x0)
     if math.sqrt(g0.dot(g0)) == 0.0:
         raise ValueError("grad f(x0) = 0: the flow from rest is stationary")
-    cap = _mmd_cap(obj, x0, dt, cap, f_star, g0)
-    state, arc = next(_scan_from_rest(obj, x0, g0, dt, cap, mode), (None, None))
-    return (None if state is None else _event_from_state(obj, state, arc)), cap
+    event, _, cap = _segment(obj, x0, g0, dt, cap, _strong_upper_bound(obj), f_star, after)
+    return event, cap
 
 
 def mmd_restart_time(
@@ -399,12 +418,10 @@ def mmd_restart_time(
     explicitly).  Failing to find the event within the cap raises, since it
     would contradict the restart-time bound.
     """
-    event, cap = _first_event(obj, x0, dt, cap, f_star, "mmd")
+    event, cap = _first_event(obj, x0, dt, cap, f_star, _mmd_after)
     if event is None:
-        raise RuntimeError(
-            f"no mean-dissipation maximum within the cap {cap:g}; this "
-            "contradicts the restart-time upper bound"
-        )
+        raise RuntimeError(f"no mean-dissipation maximum within the cap {cap:g}; this "
+                           "contradicts the restart-time upper bound")
     return event
 
 
@@ -423,7 +440,7 @@ def kinetic_max_restart_time(
     frequencies), so reaching the cap without an event returns None rather
     than raising.
     """
-    return _first_event(obj, x0, dt, cap, f_star, "kin")[0]
+    return _first_event(obj, x0, dt, cap, f_star, _kin_after)[0]
 
 
 def kinetic_energy_maxima(
@@ -438,7 +455,7 @@ def kinetic_energy_maxima(
     maximum: at each returned event t*dE_K/dt - E_K = -E_K < 0.
     """
     dt = default_time_step(obj) if dt is None else _check_dt(dt)
-    events = _scan_from_rest(obj, x0, None, dt, horizon, "kin")
+    events = _scan_from_rest(obj, x0, None, dt, horizon, _kin_after)
     return [_event_from_state(obj, state, np.nan) for state, _ in events]
 
 
@@ -449,129 +466,75 @@ def run_piecewise_conservative(
     n_restarts: int = 5,
     f_star: Optional[float] = None,
     cap: Optional[float] = None,
-    record_every: Optional[int] = None,
+    record_every: int = 8,
 ) -> PiecewiseResult:
     """Piecewise conservative flow: evolve from rest, restart at each
     mean-dissipation maximum, repeat ``n_restarts`` times.
 
-    Returns the sampled trajectory (velocity reset to zero at every restart
-    sample), per-segment decrease data, and the bound reports: restart-time
+    Returns the trajectory sampled at every ``record_every``-th Verlet node
+    of each segment and at each restart (velocity reset to zero), the
+    per-segment decrease data, and the bound reports: restart-time
     lower/upper bounds per segment, per-restart objective contraction, the
     global floor-rate bound, and the total-arc-length bound.  Bound checks
     that need mu or f* are emitted only when those are available (f* is
     computed exactly for quadratics when not supplied).
     """
     dt = default_time_step(obj) if dt is None else _check_dt(dt)
+    _check_record_every(record_every)
     x0 = np.asarray(x0, dtype=float)
     if f_star is None and isinstance(obj, QuadraticObjective):
         f_star = _quadratic_min_value(obj)
-    mu = obj.strong_convexity
-    L = obj.lipschitz
+    mu, L = obj.strong_convexity, obj.lipschitz
+    t_r = _strong_upper_bound(obj)
 
     g0 = obj.gradient(x0)
     grad_floor = 1e-14 * max(1.0, math.sqrt(g0.dot(g0)))
-    times = [0.0]
-    xs = [x0.copy()]
-    vs = [np.zeros_like(x0)]
+    samples = [(0.0, x0.copy(), np.zeros_like(x0))]  # (t, x, v)
     events: List[RestartEvent] = []
     segments: List[dict] = []
     reports: List[dict] = []
 
-    x = x0
-    t_abs = 0.0
+    x, g, t_abs = x0, g0, 0.0  # the current segment's start, grad f there and its time
     total_arc = 0.0
     f_prev = obj.value(x0)
-    sample_gaps = []  # (t_abs, f - reference) pairs when f_star known
-
-    g = g0  # grad f(x) at the current segment start
     for seg in range(n_restarts):
         if math.sqrt(g.dot(g)) <= grad_floor:
             break
-        seg_cap = _mmd_cap(obj, x, dt, cap, f_star, g)
-        samples = []
-        scan = _scan_from_rest(obj, x, g, dt, seg_cap, "mmd", samples, record_every or 8)
-        state, arc = next(scan, (None, None))
-        if state is None:
+        event, g, seg_cap = _segment(obj, x, g, dt, cap, t_r, f_star, _mmd_after, samples, record_every, t_abs)
+        if event is None:
             raise RuntimeError(f"segment {seg}: no restart within the cap {seg_cap:g}")
-        event = _event_from_state(obj, state, arc, t_offset=t_abs)
-        for t_s, x_s, v_s in samples[1:]:
-            if t_s < event.time:
-                times.append(t_abs + t_s)
-                xs.append(x_s)
-                vs.append(v_s)
-        t_abs += event.time
-        times.append(t_abs)
-        xs.append(event.x)
-        vs.append(np.zeros_like(event.x))  # restart: velocity reset
+        t_abs = event.time_abs
+        samples.append((t_abs, event.x, np.zeros_like(event.x)))  # restart: velocity reset
         events.append(event)
         total_arc += event.arc_length
         f_now = event.f_value
-        segments.append(
-            {
-                "segment": seg,
-                "t_start": event.time_abs - event.time,
-                "t_end": event.time_abs,
-                "restart_time": event.time,
-                "f_start": f_prev,
-                "f_end": f_now,
-                "f_decrease": f_prev - f_now,
-                "kinetic_energy": event.kinetic_energy,
-                "arc_length": event.arc_length,
-            }
-        )
-        if mu is not None and mu > 0:
-            reports.append(
-                bound_report(
-                    f"restart_time_lower[{seg}]",
-                    np.sqrt(mu) / (8.0 * L),
-                    event.time,
-                    slack=1e-4 * event.time,
-                )
-            )
-            reports.append(
-                bound_report(
-                    f"restart_time_upper[{seg}]",
-                    event.time,
-                    restart_time_upper_bound(mu, L),
-                    slack=1e-4 * restart_time_upper_bound(mu, L),
-                )
-            )
+        segments.append({
+            "segment": seg, "t_start": event.time_abs - event.time, "t_end": event.time_abs,
+            "restart_time": event.time, "f_start": f_prev, "f_end": f_now, "f_decrease": f_prev - f_now,
+            "kinetic_energy": event.kinetic_energy, "arc_length": event.arc_length,
+        })
+        if t_r is not None:
+            reports.append(bound_report(f"restart_time_lower[{seg}]", restart_time_lower_bound(mu, L), event.time,
+                                        slack=1e-4 * event.time))
+            reports.append(bound_report(f"restart_time_upper[{seg}]", event.time, t_r, slack=1e-4 * t_r))
             if f_star is not None:
                 gap_prev = f_prev - f_star
-                gap_now = f_now - f_star
-                reports.append(
-                    bound_report(
-                        f"decrease_per_restart[{seg}]",
-                        gap_now,
-                        gap_prev / (1.0 + mu / L),
-                        slack=1e-7 * max(gap_prev, 1e-300),
-                    )
-                )
+                reports.append(bound_report(f"decrease_per_restart[{seg}]", f_now - f_star,
+                                            gap_prev / (1.0 + mu / L), slack=1e-7 * max(gap_prev, 1e-300)))
         f_prev = f_now
-        x, g = event.x, state[3]
+        x = event.x
 
-    times = np.asarray(times)
-    xs = np.asarray(xs)
-    vs = np.asarray(vs)
+    times, xs, vs = (np.asarray(column) for column in zip(*samples))
     traj = ContinuousTrajectory(times=times, xs=xs, vs=vs, events=events)
 
-    if mu is not None and mu > 0 and f_star is not None:
+    if t_r is not None and f_star is not None:
         gap0 = obj.value(x0) - f_star
-        t_r = restart_time_upper_bound(mu, L)
         factor = (1.0 + mu / L) ** np.floor(times / t_r)
         gaps = np.array([obj.value(xi) for xi in xs]) - f_star
-        reports.append(
-            bound_report(
-                "objective_rate",
-                float(np.max(gaps * factor)),
-                gap0,
-                slack=1e-7 * max(gap0, 1e-300),
-            )
-        )
+        reports.append(bound_report("objective_rate", float(np.max(gaps * factor)), gap0,
+                                    slack=1e-7 * max(gap0, 1e-300)))
         length_rhs = 4.0 * np.sqrt(2.0) * (L / mu) * t_r * np.sqrt(max(gap0, 0.0))
-        reports.append(
-            bound_report("curve_length", total_arc, length_rhs, slack=1e-7 * max(length_rhs, 1e-300))
-        )
+        reports.append(bound_report("curve_length", total_arc, length_rhs, slack=1e-7 * max(length_rhs, 1e-300)))
     return PiecewiseResult(trajectory=traj, segments=segments, reports=reports)
 
 

@@ -349,6 +349,14 @@ def nag_c_run(obj: SmoothObjective, x0, s: float, max_iter: int, keep_iterates: 
     return _momentum_run(obj, x0, s, lambda j: j / (j + 3.0), max_iter, keep_iterates, "nag-c")
 
 
+def _nag_sc_momentum(mu: float, s: float) -> float:
+    """The NAG-SC momentum (1 - sqrt(mu s)) / (1 + sqrt(mu s)), or
+    ValueError when mu s > 1 puts it out of range."""
+    if mu * s > 1.0:
+        raise ValueError(f"mu * s = {mu * s:g} > 1: momentum coefficient out of range")
+    return (1.0 - np.sqrt(mu * s)) / (1.0 + np.sqrt(mu * s))
+
+
 def nag_sc_run(obj: SmoothObjective, x0, s: float, mu: float, max_iter: int, keep_iterates: bool = False) -> Trace:
     """Nesterov's method for strongly convex functions.
 
@@ -359,9 +367,7 @@ def nag_sc_run(obj: SmoothObjective, x0, s: float, mu: float, max_iter: int, kee
     _check_step(s, obj.lipschitz, "nag-sc")
     if not mu > 0:
         raise ValueError("mu must be positive")
-    if mu * s > 1.0:
-        raise ValueError(f"mu * s = {mu * s:g} > 1: momentum coefficient out of range")
-    beta = (1.0 - np.sqrt(mu * s)) / (1.0 + np.sqrt(mu * s))
+    beta = _nag_sc_momentum(mu, s)
     return _momentum_run(obj, x0, s, lambda j: beta, max_iter, keep_iterates, "nag-sc")
 
 

@@ -315,9 +315,10 @@ def _rep_rows(config: ExperimentConfig, rep: int) -> Tuple[List[ResultRow], int]
     for name in config.methods:
         method = METHODS[name]
         if method.mu_divisor is not None:
-            mu_s = obj.strong_convexity / method.mu_divisor * _step(method, obj, config)
-            if mu_s > 1.0:  # as nag_sc_run would refuse it
-                raise ValueError(f"{name} on rep {rep}: mu * s = {mu_s:g} > 1: momentum coefficient out of range")
+            try:
+                disc._nag_sc_momentum(obj.strong_convexity / method.mu_divisor, _step(method, obj, config))
+            except ValueError as err:
+                raise ValueError(f"{name} on rep {rep}: {err}") from err
     f_star = estimate_fstar(obj, x0, config.max_iter)
     rows = []
     clipped = 0

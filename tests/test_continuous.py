@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from consopt import continuous
 from consopt.continuous import (
     _verlet,
     default_time_step,
@@ -15,6 +16,7 @@ from consopt.continuous import (
     mmd_restart_time,
     quadratic_closed_form,
     quadratic_fixed_interval_decrease,
+    restart_time_lower_bound,
     restart_time_upper_bound,
     run_piecewise_conservative,
     small_time_energy_check,
@@ -152,6 +154,24 @@ def test_rejects_non_positive_dt(entry, dt):
         DT_ENTRY_POINTS[entry](obj, np.ones(2), dt)
 
 
+RECORD_EVERY_ENTRY_POINTS = {
+    "integrate_conservative": lambda obj, x0, k: integrate_conservative(obj, x0, np.zeros(2), 0.01, 1.0,
+                                                                        record_every=k),
+    "run_piecewise_conservative": lambda obj, x0, k: run_piecewise_conservative(obj, x0, record_every=k),
+}
+
+
+@pytest.mark.parametrize("record_every", [0, -8, 2.5])
+@pytest.mark.parametrize("entry", sorted(RECORD_EVERY_ENTRY_POINTS))
+def test_rejects_a_record_every_that_is_not_a_positive_int(entry, record_every):
+    obj = quadratic_objective(np.diag([1.0, 2.0]), np.zeros(2))
+    calls = []
+    counted = replace(obj, gradient=lambda x: calls.append(x) or obj.gradient(x))
+    with pytest.raises(ValueError, match="record_every must be a positive integer"):
+        RECORD_EVERY_ENTRY_POINTS[entry](counted, np.ones(2), record_every)
+    assert calls == []
+
+
 class TestMeanDissipation:
     def test_zero_cases(self):
         assert mean_dissipation(0.0, 0.0) == 0.0
@@ -195,6 +215,7 @@ class TestMmdRestartTime:
             ev = mmd_restart_time(obj, x0)
             mu, L = obj.strong_convexity, obj.lipschitz
             assert ev.time > np.sqrt(mu) / (8 * L)
+            assert restart_time_lower_bound(mu, L) == np.sqrt(mu) / (8 * L)
             assert ev.time <= restart_time_upper_bound(mu, L) * (1 + 1e-4)
 
     def test_kinetic_energy_grad_lower_bound(self):
@@ -331,6 +352,21 @@ class TestPiecewise:
         assert not any(np.array_equal(a, b) for a, b in zip(points, points[1:]))
         # the exact oracle work of the flow, so a leaner step cannot do less
         assert len(points) == {"mu": 403, "f_star": 720}[cap_from]
+
+
+def test_refine_event_is_called_once_per_event(monkeypatch):
+    # The benchmark's span tracer wraps continuous._refine_event by name to
+    # count the bisection's gradient calls: renamed or inlined, they read 0.
+    calls = []
+    refine = continuous._refine_event
+    monkeypatch.setattr(continuous, "_refine_event", lambda *args: calls.append(args) or refine(*args))
+    obj, x0 = gen_random_quadratic(6, 0.1, 4.0, 3), np.random.default_rng([3, 1]).standard_normal(6)
+    result = run_piecewise_conservative(obj, x0, n_restarts=3)
+    assert len(result.segments) == 3 and len(calls) == 3
+    calls.clear()
+    events = kinetic_energy_maxima(quadratic_objective(np.diag([1.0, 2.0]), np.zeros(2)), np.ones(2), 25.0,
+                                   dt=1e-3)
+    assert len(events) >= 3 and len(calls) == len(events)
 
 
 class TestVisitingTime:
