@@ -127,12 +127,12 @@ def default_time_step(obj: SmoothObjective) -> float:
     return 1e-3 / np.sqrt(obj.lipschitz)
 
 
-def _check_dt(dt: float) -> float:
-    """``dt``, or ValueError when it is not positive and finite (zero,
-    negative, NaN or infinite)."""
-    if not 0 < dt < math.inf:
-        raise ValueError("dt must be positive and finite")
-    return dt
+def _check_positive(name: str, value: float) -> float:
+    """``value``, or ValueError naming it when it is not positive and finite
+    (zero, negative, NaN or infinite)."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
+    return value
 
 
 def _check_record_every(record_every) -> None:
@@ -156,7 +156,7 @@ def restart_time_upper_bound(mu: float, L: float) -> float:
 def _strong_upper_bound(obj: SmoothObjective) -> Optional[float]:
     """``restart_time_upper_bound`` of a strongly convex ``obj``, else None."""
     mu = obj.strong_convexity
-    return restart_time_upper_bound(mu, obj.lipschitz) if mu is not None and mu > 0 else None
+    return None if mu is None else restart_time_upper_bound(mu, obj.lipschitz)
 
 
 # -- cubic Hermite interpolation ----------------------------------------------
@@ -248,7 +248,7 @@ def integrate_conservative(
     and reports the worst mechanical-energy drift max_t |H(t) - H(0)|, which
     shrinks like dt^2.
     """
-    _check_dt(dt)
+    _check_positive("dt", dt)
     _check_record_every(record_every)
     if T <= dt:
         raise ValueError("T must exceed dt")
@@ -392,7 +392,9 @@ def _segment(obj, x0, g0, dt, cap, t_r, f_star, after, samples=None, stride=1, t
 def _first_event(obj, x0, dt, cap, f_star, after):
     """First event of the rule ``after`` on the flow from rest at x0, or
     None when the scan reaches the cap; also returns the cap."""
-    dt = default_time_step(obj) if dt is None else _check_dt(dt)
+    dt = default_time_step(obj) if dt is None else _check_positive("dt", dt)
+    if cap is not None:
+        _check_positive("cap", cap)
     x0 = np.asarray(x0, dtype=float)
     g0 = obj.gradient(x0)
     if math.sqrt(g0.dot(g0)) == 0.0:
@@ -454,7 +456,8 @@ def kinetic_energy_maxima(
     Used to check that a kinetic-energy maximum is never a mean-dissipation
     maximum: at each returned event t*dE_K/dt - E_K = -E_K < 0.
     """
-    dt = default_time_step(obj) if dt is None else _check_dt(dt)
+    _check_positive("horizon", horizon)
+    dt = default_time_step(obj) if dt is None else _check_positive("dt", dt)
     events = _scan_from_rest(obj, x0, None, dt, horizon, _kin_after)
     return [_event_from_state(obj, state, np.nan) for state, _ in events]
 
@@ -479,8 +482,12 @@ def run_piecewise_conservative(
     that need mu or f* are emitted only when those are available (f* is
     computed exactly for quadratics when not supplied).
     """
-    dt = default_time_step(obj) if dt is None else _check_dt(dt)
+    dt = default_time_step(obj) if dt is None else _check_positive("dt", dt)
     _check_record_every(record_every)
+    if not isinstance(n_restarts, (int, np.integer)) or n_restarts < 0:
+        raise ValueError("n_restarts must be a non-negative integer")
+    if cap is not None:
+        _check_positive("cap", cap)
     x0 = np.asarray(x0, dtype=float)
     if f_star is None and isinstance(obj, QuadraticObjective):
         f_star = _quadratic_min_value(obj)
@@ -615,7 +622,7 @@ def small_time_energy_check(obj: SmoothObjective, x0, dt: Optional[float] = None
     margins; a start at the minimizer is flagged as degenerate and skipped.
     """
     mu = obj.strong_convexity
-    if mu is None or mu <= 0:
+    if mu is None:
         raise ValueError("small-time sandwich requires a strong convexity constant")
     L = obj.lipschitz
     x0 = np.asarray(x0, dtype=float)

@@ -63,10 +63,14 @@ class Trace:
     gradient norm, or the minimal-norm subgradient norm on a composite
     objective.  ``x`` is the last iterate and ``v`` the velocity there,
     None for the methods without one (gradient descent, the Nesterov loops
-    and FISTA).  Conservative runs record ``restart_origin``, the
-    bookkeeping index l of the segment each iterate belongs to, and on a
-    composite ``crossings``, the iterations that zeroed a coordinate.
-    ``xs``/``vs`` hold the iterate and velocity history when kept.
+    and FISTA).  A conservative run on a composite records ``crossings``,
+    the iterations that zeroed a coordinate.  ``xs`` holds the iterate
+    history when kept, and ``vs`` the velocity history when kept for a
+    method with a velocity.
+
+    The restart bookkeeping index l of a conservative run is not stored:
+    it is r on a crossing row r, r - 1 on a restart row r, and otherwise
+    that of row r - 1, starting from 0 at row 0.
     """
 
     method: str
@@ -76,7 +80,6 @@ class Trace:
     restarts: Array
     x: Array
     v: Optional[Array] = None
-    restart_origin: Optional[Array] = None
     xs: Optional[Array] = None
     vs: Optional[Array] = None
     crossings: Optional[Array] = None
@@ -90,10 +93,11 @@ class _Recorder:
     DivergenceError carrying the rows so far when the row's value or
     residual is non-finite or beyond DIVERGENCE_LIMIT.
 
-    The ``restart_origin`` and ``crossings`` columns exist only when the
-    runner passes ``l`` and ``crossed`` to ``add``.  Runners pass the
-    residual as ``math.sqrt(g.dot(g))``, bit for bit what ``np.linalg.norm``
-    computes for a real vector, at a fraction of its call cost.
+    The ``crossings`` column exists only when the runner passes ``crossed``
+    to ``add``, and the velocity history only when it passes ``v``.
+    Runners pass the residual as ``math.sqrt(g.dot(g))``, bit for bit what
+    ``np.linalg.norm`` computes for a real vector, at a fraction of its
+    call cost.
     """
 
     def __init__(self, method, step, keep_iterates):
@@ -102,22 +106,20 @@ class _Recorder:
         self.fvals = []
         self.residuals = []
         self.restarts = []
-        self.origins = []
         self.crossings = []
         self.xs = [] if keep_iterates else None
-        self.vs = [] if keep_iterates else None
+        self.vs = []
 
-    def add(self, fval, resid, fired, x, v=None, l=None, crossed=None):
+    def add(self, fval, resid, fired, x, v=None, crossed=None):
         self.fvals.append(fval)
         self.residuals.append(resid)
         self.restarts.append(fired)
-        if l is not None:
-            self.origins.append(l)
         if crossed is not None:
             self.crossings.append(crossed)
         if self.xs is not None:
             self.xs.append(np.array(x))
-            self.vs.append(None if v is None else np.array(v))
+            if v is not None:
+                self.vs.append(np.array(v))
         # |f| <= limit and -inf < residual <= limit; NaN fails every test.
         if not abs(fval) <= DIVERGENCE_LIMIT >= resid > -math.inf:
             raise DivergenceError(
@@ -127,18 +129,17 @@ class _Recorder:
 
     def fill(self, max_iter):
         """Repeat the last row for every iteration up to ``max_iter``, for a
-        run whose state no longer changes: same value, residual, restart
-        origin and iterates, no restart and no crossing."""
+        run whose state no longer changes: same value, residual and
+        iterates, no restart and no crossing."""
         n = max_iter + 1 - len(self.fvals)
         self.fvals.extend([self.fvals[-1]] * n)
         self.residuals.extend([self.residuals[-1]] * n)
         self.restarts.extend([False] * n)
-        if self.origins:
-            self.origins.extend([self.origins[-1]] * n)
         if self.crossings:
             self.crossings.extend([False] * n)
         if self.xs is not None:
             self.xs.extend([self.xs[-1]] * n)
+        if self.vs:
             self.vs.extend([self.vs[-1]] * n)
 
     def trace(self, x, v=None):
@@ -151,9 +152,8 @@ class _Recorder:
             restarts=np.asarray(self.restarts, dtype=bool),
             x=x,
             v=v,
-            restart_origin=np.asarray(self.origins, dtype=int) if self.origins else None,
             xs=None if self.xs is None else np.asarray(self.xs),
-            vs=None if self.vs is None or any(u is None for u in self.vs) else np.asarray(self.vs),
+            vs=np.asarray(self.vs) if self.vs else None,
             crossings=np.asarray(self.crossings, dtype=bool) if self.crossings else None,
         )
 
@@ -226,7 +226,7 @@ def _rcm_loop(value, oracle, L, x0, h, criterion, max_iter, keep_iterates, metho
     g = oracle(x)
     l = 0
     rec = _Recorder(method, h, keep_iterates)
-    rec.add(value(x), math.sqrt(g.dot(g)), False, x, v, l, crossed)
+    rec.add(value(x), math.sqrt(g.dot(g)), False, x, v, crossed)
 
     for k in range(max_iter):
         v_trial = v - h * g
@@ -248,7 +248,7 @@ def _rcm_loop(value, oracle, L, x0, h, criterion, max_iter, keep_iterates, metho
         x, v = x_new, v_new
         # Without a crossing, x is the point g_new was evaluated at.
         g = oracle(x) if g_new is None or crossed else g_new
-        rec.add(value(x), math.sqrt(g.dot(g)), fire, x, v, l, crossed)
+        rec.add(value(x), math.sqrt(g.dot(g)), fire, x, v, crossed)
         # A state at rest repeats f; comparing f first keeps the array
         # tests off nearly every other iteration.
         if (rec.fvals[-1] == rec.fvals[-2] and not v.any()
@@ -276,19 +276,13 @@ def rcm_run(obj: SmoothObjective, x0, h: float, criterion: str, max_iter: int, k
 
 
 def gradient_descent_run(obj: SmoothObjective, x0, s: float, max_iter: int, keep_iterates: bool = False) -> Trace:
-    """Plain gradient descent x_{k+1} = x_k - s grad f(x_k)."""
+    """Plain gradient descent x_{k+1} = x_k - s grad f(x_k): the loop of
+    ``_momentum_run`` with momentum 0, so a run that reaches a fixed point
+    writes its remaining rows without oracle calls.  A step above 1/L is
+    allowed without a warning, so that divergence can be benchmarked."""
     if not 0 < s < math.inf:
         raise ValueError("s must be positive and finite")
-    grad, fval = obj.gradient, obj.value
-    x = np.array(x0, dtype=float)
-    g = grad(x)
-    rec = _Recorder("gd", s, keep_iterates)
-    rec.add(fval(x), math.sqrt(g.dot(g)), False, x)
-    for _ in range(max_iter):
-        x = x - s * g
-        g = grad(x)
-        rec.add(fval(x), math.sqrt(g.dot(g)), False, x)
-    return rec.trace(x)
+    return _momentum_run(obj, x0, s, lambda j: 0.0, max_iter, keep_iterates, "gd")
 
 
 def _check_step(s, L, who, stacklevel=3):
@@ -305,6 +299,7 @@ def _momentum_run(obj, x0, s, momentum, max_iter, keep_iterates, method, restart
     x_{k+1} = y_{k+1} + momentum(j) (y_{k+1} - y_k), from y_0 = x_0, where j
     counts the iterations since the last restart, so j = k unless
     ``restart`` turns on the gradient restart of ``nag_c_restart_run``.
+    With momentum 0 it is gradient descent.
 
     Once an iteration leaves both x and y unchanged (compared by value), it
     cannot restart and every later iteration repeats it exactly, so the

@@ -53,26 +53,23 @@ __all__ = [
 class SmoothObjective:
     """A differentiable convex function with a known gradient Lipschitz bound.
 
-    ``value`` and ``gradient`` are callables taking a point of shape (dim,).
-    ``strong_convexity`` is ``None`` when no positive modulus is certified;
-    when set it must not exceed ``lipschitz``.
+    ``value`` and ``gradient`` are callables taking a point of shape (n,).
+    ``strong_convexity`` is a positive modulus no larger than ``lipschitz``,
+    or ``None``, the one way to say that none is certified.
     """
 
-    dim: int
     value: Callable[[Array], float]
     gradient: Callable[[Array], Array]
     lipschitz: float
     strong_convexity: Optional[float] = None
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be a positive integer")
         if not self.lipschitz > 0:
             raise ValueError("lipschitz must be positive")
-        if self.strong_convexity is not None:
-            mu = self.strong_convexity
-            if mu < 0:
-                raise ValueError("strong_convexity must be nonnegative")
+        mu = self.strong_convexity
+        if mu is not None:
+            if not mu > 0:
+                raise ValueError(f"strong_convexity must be None or positive, not {mu!r}")
             if mu > self.lipschitz * (1.0 + 1e-12):
                 raise ValueError("strong_convexity exceeds the Lipschitz bound")
 
@@ -117,10 +114,6 @@ class CompositeObjective:
     def __post_init__(self):
         if self.l1_weight < 0:
             raise ValueError("l1_weight must be nonnegative")
-
-    @property
-    def dim(self) -> int:
-        return self.smooth.dim
 
     def value(self, x: Array) -> float:
         return self.smooth.value(x) + self.l1_weight * np.abs(x).sum()
@@ -204,7 +197,6 @@ def quadratic_objective(A, b) -> QuadraticObjective:
         lambda x, Ax: Ax + b,
     )
     return QuadraticObjective(
-        dim=n,
         value=value,
         gradient=gradient,
         lipschitz=lam_max,
@@ -270,7 +262,7 @@ def logistic_objective(A, y) -> LogisticObjective:
     )
     # A = 0 gives a linear objective; keep the Lipschitz field positive
     return LogisticObjective(
-        dim=n, value=value, gradient=gradient,
+        value=value, gradient=gradient,
         lipschitz=max(0.25 * lam, np.finfo(float).tiny), A=A, y=y,
     )
 
@@ -316,7 +308,7 @@ def logsumexp_objective(A, b, rho: float) -> LogSumExpObjective:
         lambda x, z: A.dot(softmax(z)),
     )
     return LogSumExpObjective(
-        dim=n, value=value, gradient=gradient,
+        value=value, gradient=gradient,
         lipschitz=max(lam / rho, np.finfo(float).tiny), A=A, b=b, rho=rho,
     )
 

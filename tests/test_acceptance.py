@@ -53,7 +53,6 @@ def sc_nonquadratic(n, seed, eps=0.5):
     M, c = gen_logsumexp_instance(n, 2 * n, seed + 10_000)
     lse = logsumexp_objective(M, c, 1.0)
     return SmoothObjective(
-        dim=n,
         value=lambda x: quad.value(x) + eps * lse.value(x),
         gradient=lambda x: quad.gradient(x) + eps * lse.gradient(x),
         lipschitz=quad.lipschitz + eps * lse.lipschitz,
@@ -185,7 +184,6 @@ def test_criterion_06_one_dimensional_theory():
         (quadratic_objective(np.array([[4.0]]), np.zeros(1)), np.array([-1.5]), 4.0),
         (
             SmoothObjective(
-                dim=1,
                 value=lambda x: 0.5 * x[0] ** 2 + np.cosh(x[0]) - 1.0,
                 gradient=lambda x: np.array([x[0] + np.sinh(x[0])]),
                 lipschitz=1.0 + np.cosh(2.0),

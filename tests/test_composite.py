@@ -90,7 +90,7 @@ class TestRcmComp:
         h = 1.0 / np.sqrt(smooth.lipschitz)
         a = rcm_run(smooth, x0, h, criterion, 250, keep_iterates=True)
         b = rcm_comp_run(f, x0, h, criterion, 250, keep_iterates=True)
-        for col in ("fvals", "residuals", "restarts", "restart_origin", "xs", "vs", "x", "v"):
+        for col in ("fvals", "residuals", "restarts", "xs", "vs", "x", "v"):
             assert getattr(a, col).tobytes() == getattr(b, col).tobytes(), col
         assert a.crossings is None
         assert b.crossings.dtype == bool and len(b.crossings) == len(b) and not b.crossings.any()
@@ -242,7 +242,6 @@ def test_nan_gradient_at_zero_coordinate_reaches_divergence_check(run):
     # for rcm-comp, a soft threshold for FISTA), and the NaN that the
     # minimal-norm subgradient returns there must stop the run.
     smooth = SmoothObjective(
-        dim=2,
         value=lambda x: 0.5 * float((x - 1.0) @ (x - 1.0)),
         gradient=lambda x: np.where(x == 0.0, np.nan, x - 1.0),
         lipschitz=1.0,

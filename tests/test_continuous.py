@@ -45,7 +45,6 @@ def sc_nonquadratic(n, seed, eps=0.5):
     value = lambda x: quad.value(x) + eps * lse.value(x)
     gradient = lambda x: quad.gradient(x) + eps * lse.gradient(x)
     return SmoothObjective(
-        dim=n,
         value=value,
         gradient=gradient,
         lipschitz=quad.lipschitz + eps * lse.lipschitz,
@@ -172,6 +171,37 @@ def test_rejects_a_record_every_that_is_not_a_positive_int(entry, record_every):
     assert calls == []
 
 
+def _bad_flow_inputs():
+    cap_entry_points = {"mmd_restart_time": mmd_restart_time, "kinetic_max_restart_time": kinetic_max_restart_time,
+                        "run_piecewise_conservative": run_piecewise_conservative}
+    for bad in (-1.0, 0.0, np.nan, np.inf):
+        for name, run in cap_entry_points.items():
+            yield pytest.param(lambda obj, x0, run=run, bad=bad: run(obj, x0, cap=bad),
+                               "cap must be positive and finite", id=f"{name}-cap={bad}")
+        yield pytest.param(lambda obj, x0, bad=bad: kinetic_energy_maxima(obj, x0, bad, dt=0.01),
+                           "horizon must be positive and finite", id=f"kinetic_energy_maxima-horizon={bad}")
+    for bad in (-1, 2.5):
+        yield pytest.param(lambda obj, x0, bad=bad: run_piecewise_conservative(obj, x0, n_restarts=bad),
+                           "n_restarts must be a non-negative integer",
+                           id=f"run_piecewise_conservative-n_restarts={bad}")
+
+
+@pytest.mark.parametrize("call, message", _bad_flow_inputs())
+def test_rejects_a_bad_cap_horizon_or_restart_count(call, message):
+    obj = quadratic_objective(np.diag([1.0, 2.0]), np.zeros(2))
+    calls = []
+    counted = replace(obj, gradient=lambda x: calls.append(x) or obj.gradient(x))
+    with pytest.raises(ValueError, match=message):
+        call(counted, np.ones(2))
+    assert calls == []
+
+
+def test_zero_restarts_run_no_segment():
+    obj = quadratic_objective(np.diag([1.0, 2.0]), np.zeros(2))
+    result = run_piecewise_conservative(obj, np.ones(2), n_restarts=np.int64(0))
+    assert result.segments == [] and result.trajectory.events == []
+
+
 class TestMeanDissipation:
     def test_zero_cases(self):
         assert mean_dissipation(0.0, 0.0) == 0.0
@@ -261,7 +291,6 @@ class TestKineticMaxRestart:
         # f = mu x^2 / 2 + (cosh(x) - 1) has f'' >= mu + 1
         mu = 1.0
         obj = SmoothObjective(
-            dim=1,
             value=lambda x: 0.5 * mu * x[0] ** 2 + np.cosh(x[0]) - 1.0,
             gradient=lambda x: np.array([mu * x[0] + np.sinh(x[0])]),
             lipschitz=mu + np.cosh(2.0),

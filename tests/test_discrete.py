@@ -204,16 +204,6 @@ class TestRcmRun:
         gaps = trace.fvals - f_star
         assert gaps[-1] <= 1e-8 * gaps[0]
 
-    def test_restart_bookkeeping(self):
-        obj = gen_random_quadratic(12, 0.05, 8.0, 8)
-        x0 = np.random.default_rng(8).standard_normal(12)
-        trace = rcm_run(obj, x0, 1.0 / np.sqrt(obj.lipschitz), "mmd-r", 300)
-        assert trace.restarts.sum() > 0
-        origin = trace.restart_origin
-        for k in np.flatnonzero(trace.restarts):
-            assert origin[k] == k - 1  # l points at the pre-restart index
-        assert origin[-1] <= len(trace) - 1
-
     def test_conservation_along_restart_free_segments(self):
         a, h = 0.8, 0.9  # a h^2 < 1
         obj = quad_1d(a)
@@ -478,8 +468,9 @@ def _plain_fista(f, x0, s, max_iter, restart):
 
 
 def _plain_nag(obj, x0, s, max_iter, beta=None):
-    """NAG-SC with momentum ``beta``, or NAG-C-restart when ``beta`` is
-    None, written out in full: rows of (f, residual, restart, x)."""
+    """NAG-SC with momentum ``beta`` (gradient descent at 0), or
+    NAG-C-restart when ``beta`` is None, written out in full: rows of
+    (f, residual, restart, x)."""
     x = np.array(x0, dtype=float)
     y, g, j = x.copy(), obj.gradient(x), 0
     rows = [(obj.value(x), np.linalg.norm(g), False, x)]
@@ -509,7 +500,7 @@ def _counted(smooth):
     return replace(smooth, gradient=gradient), calls
 
 
-@pytest.mark.parametrize("method", ["fista", "fista-restart", "nag-c-restart", "nag-sc"])
+@pytest.mark.parametrize("method", ["fista", "fista-restart", "nag-c-restart", "nag-sc", "gd"])
 def test_fixed_point_rows_are_copies_made_without_oracle_calls(method):
     # Each instance reaches an exact floating-point fixed point well before
     # max_iter; the runner then stops calling the oracle, and its rows,
@@ -532,6 +523,9 @@ def test_fixed_point_rows_are_copies_made_without_oracle_calls(method):
         if method == "nag-sc":
             trace = nag_sc_run(counted, x0, s, mu, max_iter, keep_iterates=True)
             rows = _plain_nag(obj, x0, s, max_iter, (1.0 - np.sqrt(mu * s)) / (1.0 + np.sqrt(mu * s)))
+        elif method == "gd":
+            trace = gradient_descent_run(counted, x0, s, max_iter, keep_iterates=True)
+            rows = _plain_nag(obj, x0, s, max_iter, 0.0)
         else:
             trace = nag_c_restart_run(counted, x0, s, max_iter, keep_iterates=True)
             rows = _plain_nag(obj, x0, s, max_iter)
@@ -563,7 +557,7 @@ def _rcm_loop_without_stop(value, oracle, x0, h, criterion, max_iter, method, pr
     g = counted(x)
     l = 0
     rec = _Recorder(method, h, True)
-    rec.add(value(x), math.sqrt(g @ g), False, x, v, l, crossed)
+    rec.add(value(x), math.sqrt(g @ g), False, x, v, crossed)
     calls_at_row = [calls[0]]
     for k in range(max_iter):
         v_trial = v - h * g
@@ -584,7 +578,7 @@ def _rcm_loop_without_stop(value, oracle, x0, h, criterion, max_iter, method, pr
                 l = k + 1
         x, v = x_new, v_new
         g = counted(x) if g_new is None or crossed else g_new
-        rec.add(value(x), math.sqrt(g @ g), fire, x, v, l, crossed)
+        rec.add(value(x), math.sqrt(g @ g), fire, x, v, crossed)
         calls_at_row.append(calls[0])
     return rec.trace(x, v), calls_at_row
 

@@ -102,20 +102,36 @@ def _integrate_conservative():
 
 
 # The Trace fields that _trace_bytes hashes, besides method, step, x and v.
-TRACE_COLUMNS = ("fvals", "residuals", "restarts", "restart_origin", "crossings", "xs", "vs")
+TRACE_COLUMNS = ("fvals", "residuals", "restarts", "crossings", "xs", "vs")
+
+
+def _restart_origin(trace):
+    """The bookkeeping index l at each row of a conservative run: r on a
+    crossing row r, r - 1 on a restart row r, else that of row r - 1."""
+    origin = np.zeros(len(trace), dtype=int)
+    for r in range(1, len(trace)):
+        if trace.crossings is not None and trace.crossings[r]:
+            origin[r] = r
+        else:
+            origin[r] = r - 1 if trace.restarts[r] else origin[r - 1]
+    return origin
 
 
 def _trace_bytes(trace):
     """Every field of a Trace, with a marker for the absent columns, laid
     out as the digests were pinned: the row index as an ``iters`` column,
-    zeros for an absent v, and then the last row index and the last
-    restart origin (0 without that column)."""
+    the restart origin derived from the restart and crossing columns as a
+    ``restart_origin`` column of the rcm runs, zeros for an absent v, and
+    then the last row index and the last restart origin (0 without that
+    column)."""
+    origin = _restart_origin(trace) if trace.method.startswith("rcm") else None
+    derived = {"iters": np.arange(len(trace)), "restart_origin": origin}
     chunks = [trace.method.encode(), np.float64(trace.step)]
-    columns = {"iters": np.arange(len(trace)), **{col: getattr(trace, col) for col in TRACE_COLUMNS}}
-    for col, a in columns.items():
+    for col in ("iters", *TRACE_COLUMNS[:3], "restart_origin", *TRACE_COLUMNS[3:]):
+        a = derived[col] if col in derived else getattr(trace, col)
         chunks += [col.encode(), b"none"] if a is None else [col.encode(), str(a.dtype).encode(), np.array(a.shape), a]
     v = np.zeros_like(trace.x) if trace.v is None else trace.v
-    last = 0 if trace.restart_origin is None else trace.restart_origin[-1]
+    last = 0 if origin is None else origin[-1]
     return chunks + [trace.x, v, np.array([len(trace) - 1, last])]
 
 

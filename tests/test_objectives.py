@@ -184,7 +184,7 @@ def _clip_subgradient(g, x, gamma):
 def _given_gradient(g, gamma):
     """A composite whose smooth gradient is ``g`` at every point."""
     g = np.array(g, dtype=float)
-    smooth = SmoothObjective(dim=len(g), value=lambda x: 0.0, gradient=lambda x: g.copy(), lipschitz=1.0)
+    smooth = SmoothObjective(value=lambda x: 0.0, gradient=lambda x: g.copy(), lipschitz=1.0)
     return CompositeObjective(smooth=smooth, l1_weight=gamma)
 
 
@@ -282,7 +282,7 @@ class TestSharedInvariants:
         rng = np.random.default_rng(0)
         for obj in small_instances():
             for _ in range(20):
-                x = rng.standard_normal(obj.dim)
+                x = rng.standard_normal(obj.A.shape[0])
                 g = obj.gradient(x)
                 g_fd = fd_gradient(obj.value, x)
                 err = np.linalg.norm(g - g_fd) / max(1.0, np.linalg.norm(g))
@@ -292,8 +292,8 @@ class TestSharedInvariants:
         rng = np.random.default_rng(1)
         for obj in small_instances(seed=1):
             for _ in range(20):
-                x = rng.standard_normal(obj.dim)
-                y = rng.standard_normal(obj.dim)
+                x = rng.standard_normal(obj.A.shape[0])
+                y = rng.standard_normal(obj.A.shape[0])
                 lhs = np.linalg.norm(obj.gradient(x) - obj.gradient(y))
                 assert lhs <= obj.lipschitz * np.linalg.norm(x - y) * (1 + 1e-9)
 
@@ -309,9 +309,14 @@ class TestSharedInvariants:
 
     def test_mu_not_above_lipschitz(self):
         with pytest.raises(ValueError, match="strong_convexity"):
-            SmoothObjective(
-                dim=1, value=lambda x: 0.0, gradient=lambda x: x, lipschitz=1.0, strong_convexity=2.0
-            )
+            SmoothObjective(value=lambda x: 0.0, gradient=lambda x: x, lipschitz=1.0, strong_convexity=2.0)
+
+    @pytest.mark.parametrize("mu", [0.0, -1.0, np.nan])
+    def test_no_modulus_is_spelled_none(self, mu):
+        # The flow would read 0 and NaN as no modulus, and a NaN would reach
+        # NAG-SC's momentum; None is the only way to say it.
+        with pytest.raises(ValueError, match="strong_convexity must be None or positive"):
+            SmoothObjective(value=lambda x: 0.0, gradient=lambda x: x, lipschitz=1.0, strong_convexity=mu)
 
 
 FAMILIES = {
@@ -331,13 +336,13 @@ class TestSharedProduct:
 
     def test_value_after_gradient_is_bit_equal(self, family):
         obj, fresh = FAMILIES[family](), FAMILIES[family]()
-        for x in self.points(obj.dim):
+        for x in self.points(obj.A.shape[0]):
             obj.gradient(x)
             assert obj.value(x) == fresh.value(x)
 
     def test_point_mutated_in_place(self, family):
         obj, fresh = FAMILIES[family](), FAMILIES[family]()
-        x = self.points(obj.dim, k=1)[0]
+        x = self.points(obj.A.shape[0], k=1)[0]
         obj.gradient(x)
         f_old = fresh.value(x.copy())
         x += 0.25
@@ -346,7 +351,7 @@ class TestSharedProduct:
 
     def test_list_and_int_points(self, family):
         obj, fresh = FAMILIES[family](), FAMILIES[family]()
-        x_int = np.arange(obj.dim) % 3 - 1
+        x_int = np.arange(obj.A.shape[0]) % 3 - 1
         x = x_int.astype(float)
         expected_f, expected_g = fresh.value(x), fresh.gradient(x)
         for point in (x_int, x_int.tolist(), x):
@@ -357,7 +362,7 @@ class TestSharedProduct:
 
     def test_threads_share_one_objective(self, family):
         obj, fresh = FAMILIES[family](), FAMILIES[family]()
-        xs = self.points(obj.dim, k=30)
+        xs = self.points(obj.A.shape[0], k=30)
         expected = [(fresh.value(x), fresh.gradient(x).tobytes()) for x in xs]
 
         def work(offset):
