@@ -4,6 +4,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import expit, logsumexp, softmax
 
 from consopt.composite import fista_restart_run
@@ -492,3 +495,24 @@ def test_dot_norm_is_numpy_norm():
                 norms.append(math.sqrt(g.dot(g)))
                 assert norms[-1].hex() == float(np.linalg.norm(g)).hex()
     assert 0.0 in norms and math.inf in norms
+
+
+@settings(max_examples=400, derandomize=True, database=None)
+@given(c=st.floats(), a=arrays(np.float64, st.integers(1, 64), elements=st.floats()))
+@example(c=0.0, a=np.array([1.0, -1.0, -0.0]))
+@example(c=-0.0, a=np.array([1.0, -1.0, 0.0]))
+@example(c=5e-324, a=np.array([0.5, 3.0, -1e-300]))
+@example(c=0.75, a=np.array([1e-310, -5e-324, 2.2250738585072014e-308]))
+@example(c=1e300, a=np.array([1e10, -1e10, 1.0]))
+@example(c=math.inf, a=np.array([0.0, 1.0, -2.0]))
+@example(c=-1.5, a=np.array([math.inf, -math.inf]))
+@example(c=math.nan, a=np.array([1.0, math.nan, -math.nan]))
+@example(c=-math.nan, a=np.array([math.inf, 0.0]))
+@example(c=2.0, a=np.array([math.nan, -math.nan]))
+def test_a_0d_operand_multiplies_like_a_python_float(c, a):
+    """np.array(c) * a is c * a byte for byte for a Python float c and a
+    float64 vector a: the same IEEE product, also at signed zeros,
+    subnormals, overflow to inf, inf and NaN.  The Verlet scan and the
+    discrete loops rely on it to take their step sizes as 0-d arrays."""
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        assert (np.array(c) * a).tobytes() == (c * a).tobytes()
