@@ -20,7 +20,11 @@ structured reports {bound_name, lhs, rhs, slack, pass}.
 The scan takes its per-step dots and norms with ``ndarray.dot``, not ``@``
 or ``np.linalg.norm``, and carries them as Python floats: the same BLAS
 calls and IEEE operations, so the same bits, at less of NumPy's dispatch
-cost, which at these sizes rivals the arithmetic.
+cost, which at these sizes rivals the arithmetic.  For the same reason the
+step's two scalar-times-vector products take dt and dt/2 as 0-d float64
+arrays, which skip the promotion path NumPy 2 takes for a Python float,
+and the piecewise flow takes f at each recorded node right after the
+gradient there, so the oracle's shared product serves it.
 """
 
 from __future__ import annotations
@@ -135,6 +139,15 @@ def _check_positive(name: str, value: float) -> float:
     return value
 
 
+def _step_count(name: str, span: float, dt: float) -> int:
+    """Number of Verlet steps of size ``dt`` that cover ``span``, or
+    ValueError naming it when span / dt overflows."""
+    steps = float(span) / float(dt)
+    if steps == math.inf:
+        raise ValueError(f"{name} / dt overflows: {name} = {span:g}, dt = {dt:g}")
+    return math.ceil(steps)
+
+
 def _check_record_every(record_every) -> None:
     """ValueError unless ``record_every`` is a positive integer."""
     if not isinstance(record_every, (int, np.integer)) or record_every < 1:
@@ -216,16 +229,22 @@ def _verlet(grad, x0, v0, dt: float, n_steps: int, g0=None):
     makes one gradient call, and the half kick (dt/2) g of a node closes
     the step into it and opens the step out of it.  Raises on the first
     non-finite state.
+
+    dt and dt/2 enter the two per-step products as 0-d float64 arrays: the
+    same IEEE products as with Python floats, at less of NumPy's dispatch
+    cost.  A 0-d float64 operand is not a weak scalar, so the half kick of
+    a gradient returned in float32 would be formed in float64; every
+    objective in the package returns float64.
     """
     x = np.array(x0, dtype=float)
     v = np.array(v0, dtype=float)
     g = grad(x) if g0 is None else g0
-    half = 0.5 * dt
+    step, half = np.array(dt, dtype=float), np.array(0.5 * dt, dtype=float)
     hg = half * g
     yield 0, 0.0, x, v, g, float(v.dot(v))
     for i in range(1, n_steps + 1):
         v_half = v - hg
-        x = x + dt * v_half
+        x = x + step * v_half
         g = grad(x)
         hg = half * g
         v = v_half - hg
@@ -252,7 +271,7 @@ def integrate_conservative(
     _check_record_every(record_every)
     if T <= dt:
         raise ValueError("T must exceed dt")
-    n_steps = int(np.ceil(T / dt))
+    n_steps = _step_count("T", T, dt)
     nodes = _verlet(obj.gradient, x0, v0, dt, n_steps)
     _, t, x, v, _, vv = next(nodes)
     h0 = 0.5 * vv + obj.value(x)
@@ -317,25 +336,32 @@ def _kin_after(t, q, vv):
     return q >= 0.0
 
 
-def _scan_from_rest(obj, x0, g0, dt, horizon, after, samples=None, stride=1, t_offset=0.0):
-    """Integrate from rest at x0 up to ``horizon``, yielding in turn each
-    event of the restart rule ``after``.
+def _no_value(x):
+    return None
+
+
+def _scan_from_rest(obj, x0, g0, dt, n_steps, after, samples=None, stride=1, t_offset=0.0, value=_no_value):
+    """Integrate from rest at x0 for ``n_steps`` steps, yielding in turn
+    each event of the restart rule ``after``.
 
     ``g0`` is grad f(x0) when the caller already has it, else None.  An
     event fires at a node where ``after`` holds and did not at the node
     before, so after a kinetic event the scan waits for dE_K/dt > 0 again;
     nothing fires at node 0.  Each event is ((t, x, v, g), arc): the state
     refined by bisection and the curve length from x0 to it.  When
-    ``samples`` is a list, the scan appends (t_offset + t, x, v) at every
-    ``stride``-th node after node 0 as it moves on from that node, so every
-    node recorded before an event lies before it.
+    ``samples`` is a list, the scan appends (t_offset + t, x, v, value(x))
+    at every ``stride``-th node after node 0 as it moves on from that node,
+    so every node recorded before an event lies before it, and ``value``
+    comes right after the gradient at the same x.
     """
     grad = obj.gradient
     x0 = np.asarray(x0, dtype=float)
+    half_dt = 0.5 * dt
     arc = 0.0
     was_after = True
     prev, prev_speed = None, 0.0
-    for i, t, x, v, g, vv in _verlet(grad, x0, np.zeros_like(x0), dt, int(np.ceil(horizon / dt)), g0):
+    record_at = stride if samples is not None else -1  # the next node to record; -1 for none
+    for i, t, x, v, g, vv in _verlet(grad, x0, np.zeros_like(x0), dt, n_steps, g0):
         speed = math.sqrt(vv)
         node = (t, x, v, g)
         is_after = after(t, float(g.dot(v)), vv)
@@ -343,9 +369,10 @@ def _scan_from_rest(obj, x0, g0, dt, horizon, after, samples=None, stride=1, t_o
             state = _refine_event(grad, after, prev, node)
             t_ev, _, v_ev, _ = state
             yield state, arc + 0.5 * (t_ev - prev[0]) * (prev_speed + math.sqrt(v_ev.dot(v_ev)))
-        arc += 0.5 * dt * (prev_speed + speed)
-        if samples is not None and i > 0 and i % stride == 0:
-            samples.append((t_offset + t, x, v))
+        arc += half_dt * (prev_speed + speed)
+        if i == record_at:
+            samples.append((t_offset + t, x, v, value(x)))
+            record_at += stride
         prev, prev_speed, was_after = node, speed, is_after
 
 
@@ -362,14 +389,16 @@ def _event_from_state(obj, state, arc, t_offset=0.0) -> RestartEvent:
     )
 
 
-def _segment(obj, x0, g0, dt, cap, t_r, f_star, after, samples=None, stride=1, t_offset=0.0):
+def _segment(obj, x0, g0, dt, cap, t_r, f_star, after, samples=None, stride=1, t_offset=0.0, value=_no_value):
     """First event of the rule ``after`` on the flow from rest at x0, with
     g0 = grad f(x0), on a segment that starts at ``t_offset``.
 
     The scan stops at ``cap`` when given, else at twice the restart-time
     bound ``t_r`` (None unless strongly convex), else at the finite-restart
-    cap bootstrapped from 16 Verlet steps and ``f_star``.  Returns (event,
-    grad f at the event, cap), or (None, None, cap) at the cap.
+    cap bootstrapped from 16 Verlet steps and ``f_star``; a cap whose step
+    count overflows raises ValueError.  ``samples``, ``stride`` and
+    ``value`` are passed to the scan.  Returns (event, grad f at the event,
+    cap), or (None, None, cap) at the cap.
     """
     if cap is None and t_r is not None:
         cap = 2.0 * t_r
@@ -383,7 +412,8 @@ def _segment(obj, x0, g0, dt, cap, t_r, f_star, after, samples=None, stride=1, t
         if ek1 <= 0.0:
             raise RuntimeError("kinetic energy vanished during the cap bootstrap")
         cap = finite_restart_cap(obj, x0, t1, ek1, f_star)
-    state, arc = next(_scan_from_rest(obj, x0, g0, dt, cap, after, samples, stride, t_offset), (None, None))
+    scan = _scan_from_rest(obj, x0, g0, dt, _step_count("cap", cap, dt), after, samples, stride, t_offset, value)
+    state, arc = next(scan, (None, None))
     if state is None:
         return None, None, cap
     return _event_from_state(obj, state, arc, t_offset), state[3], cap
@@ -394,7 +424,7 @@ def _first_event(obj, x0, dt, cap, f_star, after):
     None when the scan reaches the cap; also returns the cap."""
     dt = default_time_step(obj) if dt is None else _check_positive("dt", dt)
     if cap is not None:
-        _check_positive("cap", cap)
+        _step_count("cap", _check_positive("cap", cap), dt)
     x0 = np.asarray(x0, dtype=float)
     g0 = obj.gradient(x0)
     if math.sqrt(g0.dot(g0)) == 0.0:
@@ -458,7 +488,7 @@ def kinetic_energy_maxima(
     """
     _check_positive("horizon", horizon)
     dt = default_time_step(obj) if dt is None else _check_positive("dt", dt)
-    events = _scan_from_rest(obj, x0, None, dt, horizon, _kin_after)
+    events = _scan_from_rest(obj, x0, None, dt, _step_count("horizon", horizon, dt), _kin_after)
     return [_event_from_state(obj, state, np.nan) for state, _ in events]
 
 
@@ -487,31 +517,37 @@ def run_piecewise_conservative(
     if not isinstance(n_restarts, (int, np.integer)) or n_restarts < 0:
         raise ValueError("n_restarts must be a non-negative integer")
     if cap is not None:
-        _check_positive("cap", cap)
+        _step_count("cap", _check_positive("cap", cap), dt)
     x0 = np.asarray(x0, dtype=float)
     if f_star is None and isinstance(obj, QuadraticObjective):
         f_star = _quadratic_min_value(obj)
     mu, L = obj.strong_convexity, obj.lipschitz
     t_r = _strong_upper_bound(obj)
+    # objective_rate needs f at every sample; the scan takes it right after
+    # the gradient at the same point, which the oracle's product serves.
+    rate = t_r is not None and f_star is not None
+    sample_value = obj.value if rate else _no_value
 
     g0 = obj.gradient(x0)
+    f0 = obj.value(x0)
     grad_floor = 1e-14 * max(1.0, math.sqrt(g0.dot(g0)))
-    samples = [(0.0, x0.copy(), np.zeros_like(x0))]  # (t, x, v)
+    samples = [(0.0, x0.copy(), np.zeros_like(x0), f0)]  # (t, x, v, f), f None when not needed
     events: List[RestartEvent] = []
     segments: List[dict] = []
     reports: List[dict] = []
 
     x, g, t_abs = x0, g0, 0.0  # the current segment's start, grad f there and its time
     total_arc = 0.0
-    f_prev = obj.value(x0)
+    f_prev = f0
     for seg in range(n_restarts):
         if math.sqrt(g.dot(g)) <= grad_floor:
             break
-        event, g, seg_cap = _segment(obj, x, g, dt, cap, t_r, f_star, _mmd_after, samples, record_every, t_abs)
+        event, g, seg_cap = _segment(obj, x, g, dt, cap, t_r, f_star, _mmd_after, samples, record_every, t_abs,
+                                     sample_value)
         if event is None:
             raise RuntimeError(f"segment {seg}: no restart within the cap {seg_cap:g}")
         t_abs = event.time_abs
-        samples.append((t_abs, event.x, np.zeros_like(event.x)))  # restart: velocity reset
+        samples.append((t_abs, event.x, np.zeros_like(event.x), event.f_value))  # restart: velocity reset
         events.append(event)
         total_arc += event.arc_length
         f_now = event.f_value
@@ -531,13 +567,14 @@ def run_piecewise_conservative(
         f_prev = f_now
         x = event.x
 
-    times, xs, vs = (np.asarray(column) for column in zip(*samples))
-    traj = ContinuousTrajectory(times=times, xs=xs, vs=vs, events=events)
+    times, xs, vs, fs = zip(*samples)
+    times = np.asarray(times)
+    traj = ContinuousTrajectory(times=times, xs=np.asarray(xs), vs=np.asarray(vs), events=events)
 
-    if t_r is not None and f_star is not None:
-        gap0 = obj.value(x0) - f_star
+    if rate:
+        gap0 = f0 - f_star
         factor = (1.0 + mu / L) ** np.floor(times / t_r)
-        gaps = np.array([obj.value(xi) for xi in xs]) - f_star
+        gaps = np.array(fs) - f_star
         reports.append(bound_report("objective_rate", float(np.max(gaps * factor)), gap0,
                                     slack=1e-7 * max(gap0, 1e-300)))
         length_rhs = 4.0 * np.sqrt(2.0) * (L / mu) * t_r * np.sqrt(max(gap0, 0.0))

@@ -221,11 +221,14 @@ def _rcm_loop(value, oracle, L, x0, h, criterion, max_iter, keep_iterates, metho
     needs_trial = criterion in ("grad", "mmd-dr")
     crossed = None if project is None else False
 
+    rec = _Recorder(method, h, keep_iterates)
+    # h, -h and h^2 enter the products as 0-d float64 arrays: the same IEEE
+    # products as Python floats, at less of NumPy's dispatch cost.
+    h, minus_h, h2 = (np.array(c, dtype=float) for c in (h, -h, h * h))
     x = np.array(x0, dtype=float)
     v = np.zeros_like(x)
     g = oracle(x)
     l = 0
-    rec = _Recorder(method, h, keep_iterates)
     rec.add(value(x), math.sqrt(g.dot(g)), False, x, v, crossed)
 
     for k in range(max_iter):
@@ -234,9 +237,9 @@ def _rcm_loop(value, oracle, L, x0, h, criterion, max_iter, keep_iterates, metho
         g_trial = oracle(x_trial) if needs_trial else None
         fire = k - l >= 1 and should_restart(criterion, v, v_trial, g_trial, k, l)
         if fire:
-            x_new = x - (h * h) * g
+            x_new = x - h2 * g
             g_new = oracle(x_new)
-            v_new = -h * g_new
+            v_new = minus_h * g_new
             l = k
         else:
             x_new, v_new, g_new = x_trial, v_trial, g_trial
@@ -313,10 +316,11 @@ def _momentum_run(obj, x0, s, momentum, max_iter, keep_iterates, method, restart
     j = 0
     rec = _Recorder(method, s, keep_iterates)
     rec.add(fval(x), math.sqrt(g.dot(g)), False, x)
+    step = np.array(s, dtype=float)  # a 0-d operand, as in _rcm_loop
     for _ in range(max_iter):
         x_old = x
         beta = momentum(j)
-        y_new = x - s * g
+        y_new = x - step * g
         dy = y_new - y
         x = y_new + beta * dy
         y = y_new

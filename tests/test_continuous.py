@@ -184,6 +184,12 @@ def _bad_flow_inputs():
         yield pytest.param(lambda obj, x0, bad=bad: run_piecewise_conservative(obj, x0, n_restarts=bad),
                            "n_restarts must be a non-negative integer",
                            id=f"run_piecewise_conservative-n_restarts={bad}")
+    # positive and finite, but with a step count that overflows
+    for name, run in cap_entry_points.items():
+        yield pytest.param(lambda obj, x0, run=run: run(obj, x0, dt=1e-10, cap=1e300),
+                           "cap / dt overflows", id=f"{name}-cap=1e300-dt=1e-10")
+    yield pytest.param(lambda obj, x0: kinetic_energy_maxima(obj, x0, 1e300, dt=1e-10),
+                       "horizon / dt overflows", id="kinetic_energy_maxima-horizon=1e300-dt=1e-10")
 
 
 @pytest.mark.parametrize("call, message", _bad_flow_inputs())
@@ -194,6 +200,14 @@ def test_rejects_a_bad_cap_horizon_or_restart_count(call, message):
     with pytest.raises(ValueError, match=message):
         call(counted, np.ones(2))
     assert calls == []
+
+
+@pytest.mark.parametrize("entry", [mmd_restart_time, kinetic_max_restart_time, run_piecewise_conservative])
+def test_rejects_a_derived_cap_whose_step_count_overflows(entry):
+    # 2 x 32 L / (mu sqrt(mu)) is about 2e6 here, and 2e311 steps of 1e-305
+    obj = quadratic_objective(np.diag([1e-3, 1.0]), np.zeros(2))
+    with pytest.raises(ValueError, match="cap / dt overflows"):
+        entry(obj, np.ones(2), dt=1e-305)
 
 
 def test_zero_restarts_run_no_segment():
@@ -369,18 +383,32 @@ class TestPiecewise:
             from scipy.optimize import minimize
 
             f_star = minimize(obj.value, x0, jac=obj.gradient, method="L-BFGS-B", tol=1e-12).fun
-        points = []
+        calls = []  # ("g" or "f", point) in call order
 
         def gradient(x, inner=obj.gradient):
-            points.append(np.array(x))
+            calls.append(("g", np.array(x)))
             return inner(x)
 
-        counted = replace(obj, gradient=gradient)
+        def value(x, inner=obj.value):
+            calls.append(("f", np.array(x)))
+            return inner(x)
+
+        counted = replace(obj, gradient=gradient, value=value)
         result = run_piecewise_conservative(counted, x0, dt=0.01, n_restarts=3, f_star=f_star)
         assert len(result.segments) == 3
+        points = [x for kind, x in calls if kind == "g"]
         assert not any(np.array_equal(a, b) for a, b in zip(points, points[1:]))
         # the exact oracle work of the flow, so a leaner step cannot do less
         assert len(points) == {"mu": 403, "f_star": 720}[cap_from]
+        # "mu": f* once, f(x0) once, then f at the 36 samples between
+        # restarts and at the 3 events.  "f_star": f(x0), and per segment f
+        # at its start for the cap and f at its event.  Every value but f*
+        # and the caps' comes right after the gradient at the same point.
+        values = [x for kind, x in calls if kind == "f"]
+        served = [b[0] == "f" and a[0] == "g" and np.array_equal(a[1], b[1]) for a, b in zip(calls, calls[1:])]
+        assert (len(values), sum(served)) == {"mu": (41, 40), "f_star": (7, 4)}[cap_from]
+        if cap_from == "mu":
+            assert len(result.trajectory.times) == 1 + 36 + 3
 
 
 def test_refine_event_is_called_once_per_event(monkeypatch):
