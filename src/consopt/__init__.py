@@ -50,7 +50,6 @@ from .continuous import (
     PiecewiseResult,
     RestartEvent,
     default_time_step,
-    finite_restart_cap,
     initial_dissipation_slope,
     integrate_conservative,
     kinetic_energy_maxima,

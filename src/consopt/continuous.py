@@ -20,11 +20,14 @@ structured reports {bound_name, lhs, rhs, slack, pass}.
 The scan takes its per-step dots and norms with ``ndarray.dot``, not ``@``
 or ``np.linalg.norm``, and carries them as Python floats: the same BLAS
 calls and IEEE operations, so the same bits, at less of NumPy's dispatch
-cost, which at these sizes rivals the arithmetic.  For the same reason the
-step's two scalar-times-vector products take dt and dt/2 as 0-d float64
-arrays, which skip the promotion path NumPy 2 takes for a Python float,
-and the piecewise flow takes f at each recorded node right after the
-gradient there, so the oracle's shared product serves it.
+cost, which at these sizes rivals the arithmetic.  Every entry point takes
+dt as a Python float, so the clock t = i dt, the predicates, the arc and
+the event bisection skip NumPy's scalar path too, and a float32 dt cannot
+stall the bisection on a coarse clock.  For the same reason the step's two
+scalar-times-vector products take dt and dt/2 as 0-d float64 arrays,
+which skip the promotion path NumPy 2 takes for a Python float, and the
+piecewise flow takes f at each recorded node right after the gradient
+there, so the oracle's shared product serves it.
 """
 
 from __future__ import annotations
@@ -63,7 +66,6 @@ __all__ = [
     "visiting_time_1d",
     "quadratic_fixed_interval_decrease",
     "small_time_energy_check",
-    "finite_restart_cap",
     "bound_report",
 ]
 
@@ -128,15 +130,17 @@ def bound_report(name: str, lhs: float, rhs: float, slack: float = 0.0) -> dict:
 
 
 def default_time_step(obj: SmoothObjective) -> float:
-    return 1e-3 / np.sqrt(obj.lipschitz)
+    """The flow's default Verlet step 1e-3 / sqrt(L), a Python float."""
+    return 1e-3 / math.sqrt(obj.lipschitz)
 
 
 def _check_positive(name: str, value: float) -> float:
-    """``value``, or ValueError naming it when it is not positive and finite
+    """``value`` as a Python float, for the scan's clock (see the module
+    docstring), or ValueError naming it when it is not positive and finite
     (zero, negative, NaN or infinite)."""
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite")
-    return value
+    return float(value)
 
 
 def _step_count(name: str, span: float, dt: float) -> int:
@@ -146,6 +150,14 @@ def _step_count(name: str, span: float, dt: float) -> int:
     if steps == math.inf:
         raise ValueError(f"{name} / dt overflows: {name} = {span:g}, dt = {dt:g}")
     return math.ceil(steps)
+
+
+def _check_cap_source(cap, t_r, f_star) -> None:
+    """ValueError unless a scan can be capped: by ``cap``, by the
+    restart-time bound ``t_r`` or through ``f_star``."""
+    if cap is None and t_r is None and f_star is None:
+        raise ValueError("objective has no strong convexity constant: pass f_star (for the "
+                         "coercive-function cap) or an explicit cap")
 
 
 def _check_record_every(record_every) -> None:
@@ -253,7 +265,7 @@ def _verlet(grad, x0, v0, dt: float, n_steps: int, g0=None):
         # A non-finite entry makes v . v or x . x non-finite; a finite state
         # can overflow them too, so only a failed screen is checked entry by
         # entry.
-        if not math.isfinite(vv + x.dot(x)) and not (np.isfinite(x).all() and np.isfinite(v).all()):
+        if not math.isfinite(vv + float(x.dot(x))) and not (np.isfinite(x).all() and np.isfinite(v).all()):
             raise RuntimeError(f"non-finite state at t = {t:g}")
         yield i, t, x, v, g, vv
 
@@ -267,7 +279,7 @@ def integrate_conservative(
     and reports the worst mechanical-energy drift max_t |H(t) - H(0)|, which
     shrinks like dt^2.
     """
-    _check_positive("dt", dt)
+    dt = _check_positive("dt", dt)
     _check_record_every(record_every)
     if T <= dt:
         raise ValueError("T must exceed dt")
@@ -389,29 +401,28 @@ def _event_from_state(obj, state, arc, t_offset=0.0) -> RestartEvent:
     )
 
 
-def _segment(obj, x0, g0, dt, cap, t_r, f_star, after, samples=None, stride=1, t_offset=0.0, value=_no_value):
+def _segment(obj, x0, g0, f0, dt, cap, t_r, f_star, after, samples=None, stride=1, t_offset=0.0,
+             value=_no_value):
     """First event of the rule ``after`` on the flow from rest at x0, with
     g0 = grad f(x0), on a segment that starts at ``t_offset``.
 
     The scan stops at ``cap`` when given, else at twice the restart-time
     bound ``t_r`` (None unless strongly convex), else at the finite-restart
-    cap bootstrapped from 16 Verlet steps and ``f_star``; a cap whose step
-    count overflows raises ValueError.  ``samples``, ``stride`` and
-    ``value`` are passed to the scan.  Returns (event, grad f at the event,
-    cap), or (None, None, cap) at the cap.
+    cap bootstrapped from 16 Verlet steps and the gap f0 - ``f_star``, with
+    f0 = f(x0) (only read there); a cap whose step count overflows raises
+    ValueError.  ``samples``, ``stride`` and ``value`` are passed to the
+    scan.  Returns (event, grad f at the event, cap), or (None, None, cap)
+    at the cap.
     """
     if cap is None and t_r is not None:
         cap = 2.0 * t_r
     elif cap is None:
-        if f_star is None:
-            raise ValueError("objective has no strong convexity constant: pass f_star (for the "
-                             "coercive-function cap) or an explicit cap")
         for _, t1, _, _, _, vv1 in _verlet(obj.gradient, x0, np.zeros_like(g0), dt, 16, g0):
             pass
         ek1 = 0.5 * vv1
         if ek1 <= 0.0:
             raise RuntimeError("kinetic energy vanished during the cap bootstrap")
-        cap = finite_restart_cap(obj, x0, t1, ek1, f_star)
+        cap = finite_restart_cap(t1, ek1, f0 - f_star)
     scan = _scan_from_rest(obj, x0, g0, dt, _step_count("cap", cap, dt), after, samples, stride, t_offset, value)
     state, arc = next(scan, (None, None))
     if state is None:
@@ -426,10 +437,14 @@ def _first_event(obj, x0, dt, cap, f_star, after):
     if cap is not None:
         _step_count("cap", _check_positive("cap", cap), dt)
     x0 = np.asarray(x0, dtype=float)
+    t_r = _strong_upper_bound(obj)
+    _check_cap_source(cap, t_r, f_star)
     g0 = obj.gradient(x0)
     if math.sqrt(g0.dot(g0)) == 0.0:
         raise ValueError("grad f(x0) = 0: the flow from rest is stationary")
-    event, _, cap = _segment(obj, x0, g0, dt, cap, _strong_upper_bound(obj), f_star, after)
+    # only the coercive cap reads f(x0), served by g0's product
+    f0 = obj.value(x0) if cap is None and t_r is None else None
+    event, _, cap = _segment(obj, x0, g0, f0, dt, cap, t_r, f_star, after)
     return event, cap
 
 
@@ -523,6 +538,7 @@ def run_piecewise_conservative(
         f_star = _quadratic_min_value(obj)
     mu, L = obj.strong_convexity, obj.lipschitz
     t_r = _strong_upper_bound(obj)
+    _check_cap_source(cap, t_r, f_star)
     # objective_rate needs f at every sample; the scan takes it right after
     # the gradient at the same point, which the oracle's product serves.
     rate = t_r is not None and f_star is not None
@@ -542,8 +558,8 @@ def run_piecewise_conservative(
     for seg in range(n_restarts):
         if math.sqrt(g.dot(g)) <= grad_floor:
             break
-        event, g, seg_cap = _segment(obj, x, g, dt, cap, t_r, f_star, _mmd_after, samples, record_every, t_abs,
-                                     sample_value)
+        event, g, seg_cap = _segment(obj, x, g, f_prev, dt, cap, t_r, f_star, _mmd_after, samples, record_every,
+                                     t_abs, sample_value)
         if event is None:
             raise RuntimeError(f"segment {seg}: no restart within the cap {seg_cap:g}")
         t_abs = event.time_abs
@@ -690,10 +706,10 @@ def small_time_energy_check(obj: SmoothObjective, x0, dt: Optional[float] = None
     }
 
 
-def finite_restart_cap(obj: SmoothObjective, x0, t1: float, ek_t1: float, f_star: float) -> float:
+def finite_restart_cap(t1: float, ek_t1: float, gap: float) -> float:
     """Upper bound (t1 / E_K(t1)) (f(x0) - f*) on the mean-dissipation
-    restart time of a coercive objective, from any instant t1 with positive
-    kinetic energy."""
+    restart time of a coercive objective from rest at x0, from any instant
+    t1 with positive kinetic energy and the gap f(x0) - f*."""
     if ek_t1 <= 0.0:
         raise ValueError("E_K(t1) must be positive")
-    return (t1 / ek_t1) * (obj.value(np.asarray(x0, dtype=float)) - f_star)
+    return (t1 / ek_t1) * gap

@@ -353,7 +353,7 @@ def _nag_sc_momentum(mu: float, s: float) -> float:
     ValueError when mu s > 1 puts it out of range."""
     if mu * s > 1.0:
         raise ValueError(f"mu * s = {mu * s:g} > 1: momentum coefficient out of range")
-    return (1.0 - np.sqrt(mu * s)) / (1.0 + np.sqrt(mu * s))
+    return (1.0 - math.sqrt(mu * s)) / (1.0 + math.sqrt(mu * s))
 
 
 def nag_sc_run(obj: SmoothObjective, x0, s: float, mu: float, max_iter: int, keep_iterates: bool = False) -> Trace:
@@ -366,7 +366,7 @@ def nag_sc_run(obj: SmoothObjective, x0, s: float, mu: float, max_iter: int, kee
     _check_step(s, obj.lipschitz, "nag-sc")
     if not mu > 0:
         raise ValueError("mu must be positive")
-    beta = _nag_sc_momentum(mu, s)
+    beta = np.array(_nag_sc_momentum(mu, s))  # a 0-d operand, as s is in _momentum_run
     return _momentum_run(obj, x0, s, lambda j: beta, max_iter, keep_iterates, "nag-sc")
 
 

@@ -215,7 +215,7 @@ def build_instance(config: ExperimentConfig, rep: int):
 
 def _step(method: Method, obj, config: ExperimentConfig) -> float:
     L = obj.smooth.lipschitz if method.composite else obj.lipschitz
-    return 1.0 / np.sqrt(L) if method.step == "h" else (config.s or 1.0 / L)
+    return 1.0 / math.sqrt(L) if method.step == "h" else (config.s or 1.0 / L)
 
 
 def _run_method(name: str, obj, x0, config: ExperimentConfig):

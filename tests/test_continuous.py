@@ -1,4 +1,7 @@
-from dataclasses import replace
+import os
+import subprocess
+import sys
+from dataclasses import is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -153,6 +156,56 @@ def test_rejects_non_positive_dt(entry, dt):
         DT_ENTRY_POINTS[entry](obj, np.ones(2), dt)
 
 
+def _bits(value):
+    """``value`` with each number replaced by its float64 bytes and each
+    array by its dtype, shape and bytes, through dataclasses, dicts and
+    lists, so that outputs compare bit for bit whatever their scalar types."""
+    if is_dataclass(value):
+        return _bits(vars(value))
+    if isinstance(value, dict):
+        return {k: _bits(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (float, np.floating)):
+        return np.float64(value).tobytes()
+    return value
+
+
+def assert_numpy_dt_runs_as_its_float(dtype):
+    """Each dt entry point at dt = np.<dtype>(0.01) gives the bits of its
+    run at float(dt).  Every run is made before any is compared."""
+    obj = quadratic_objective(np.diag([1.0, 2.0]), np.zeros(2))
+    dt = getattr(np, dtype)(0.01)
+    runs = {name: (run(obj, np.ones(2), dt), run(obj, np.ones(2), float(dt))) for name, run in
+            DT_ENTRY_POINTS.items()}
+    for name, (got, want) in runs.items():
+        assert _bits(got) == _bits(want), f"{name} at dt = np.{dtype}(0.01)"
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_a_numpy_dt_runs_as_its_python_float(dtype):
+    # In a child process with a time limit: a clock that cannot resolve the
+    # event bracket would keep the bisection from ever stopping.
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import test_continuous as t; " \
+           "t.assert_numpy_dt_runs_as_its_float(sys.argv[2])"
+    proc = subprocess.run([sys.executable, "-c", code, os.path.dirname(os.path.abspath(__file__)), dtype],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_the_flow_clock_is_python_floats():
+    obj = gen_random_quadratic(6, 0.1, 4.0, 3)
+    assert type(default_time_step(obj)) is float
+    result = run_piecewise_conservative(obj, np.random.default_rng([3, 1]).standard_normal(6), n_restarts=3)
+    assert len(result.segments) == 3
+    for ev in result.trajectory.events:
+        assert {type(v) for v in (ev.time, ev.time_abs, ev.kinetic_energy, ev.f_value, ev.arc_length)} == {float}
+    for seg in result.segments:
+        assert type(seg.pop("segment")) is int and {type(v) for v in seg.values()} == {float}
+
+
 RECORD_EVERY_ENTRY_POINTS = {
     "integrate_conservative": lambda obj, x0, k: integrate_conservative(obj, x0, np.zeros(2), 0.01, 1.0,
                                                                         record_every=k),
@@ -284,12 +337,18 @@ class TestMmdRestartTime:
         with pytest.raises(ValueError, match="stationary"):
             mmd_restart_time(obj, np.ones(2))
 
-    def test_needs_cap_information(self):
-        # no strong convexity and no f_star: refuse rather than guess
+    @pytest.mark.parametrize("entry", [mmd_restart_time, kinetic_max_restart_time, run_piecewise_conservative])
+    def test_needs_cap_information(self, entry):
+        # no strong convexity and no f_star: refuse rather than guess, and
+        # before any oracle call
         M, c = gen_logsumexp_instance(4, 10, 9)
         lse = logsumexp_objective(M, c, 1.0)
+        calls = []
+        counted = replace(lse, gradient=lambda x: calls.append(x) or lse.gradient(x),
+                          value=lambda x: calls.append(x) or lse.value(x))
         with pytest.raises(ValueError, match="f_star"):
-            mmd_restart_time(lse, np.ones(4))
+            entry(counted, np.ones(4))
+        assert calls == []
 
 
 class TestKineticMaxRestart:
@@ -401,12 +460,12 @@ class TestPiecewise:
         # the exact oracle work of the flow, so a leaner step cannot do less
         assert len(points) == {"mu": 403, "f_star": 720}[cap_from]
         # "mu": f* once, f(x0) once, then f at the 36 samples between
-        # restarts and at the 3 events.  "f_star": f(x0), and per segment f
-        # at its start for the cap and f at its event.  Every value but f*
-        # and the caps' comes right after the gradient at the same point.
+        # restarts and at the 3 events.  "f_star": f(x0) and f at each
+        # event; each cap takes f at its segment start from them.  Every
+        # value but f* comes right after the gradient at the same point.
         values = [x for kind, x in calls if kind == "f"]
         served = [b[0] == "f" and a[0] == "g" and np.array_equal(a[1], b[1]) for a, b in zip(calls, calls[1:])]
-        assert (len(values), sum(served)) == {"mu": (41, 40), "f_star": (7, 4)}[cap_from]
+        assert (len(values), sum(served)) == {"mu": (41, 40), "f_star": (4, 4)}[cap_from]
         if cap_from == "mu":
             assert len(result.trajectory.times) == 1 + 36 + 3
 
@@ -504,20 +563,18 @@ class TestSmallTimeEnergy:
 
 class TestFiniteRestartCap:
     def test_covers_actual_restart_time(self):
-        obj = quad_1d(1.0)
-        x0 = np.array([1.0])
+        # f = x^2 / 2 from rest at x0 = 1, with f* = 0: the gap is 1/2
         t1 = TAN_ROOT / 2
         _, _, ek1 = quadratic_closed_form([1.0], [1.0], t1)
-        cap = finite_restart_cap(obj, x0, t1, ek1, 0.0)
+        cap = finite_restart_cap(t1, ek1, 0.5)
         assert cap >= TAN_ROOT
 
     def test_zero_at_minimum(self):
-        obj = quad_1d(1.0)
-        assert finite_restart_cap(obj, np.array([0.0]), 0.5, 0.1, 0.0) == 0.0
+        assert finite_restart_cap(0.5, 0.1, 0.0) == 0.0
 
     def test_rejects_zero_kinetic_energy(self):
         with pytest.raises(ValueError):
-            finite_restart_cap(quad_1d(), np.array([1.0]), 0.5, 0.0, 0.0)
+            finite_restart_cap(0.5, 0.0, 0.5)
 
     def test_used_as_cap_for_non_strongly_convex(self):
         M, c = gen_logsumexp_instance(4, 12, 21)
@@ -526,5 +583,10 @@ class TestFiniteRestartCap:
 
         x0 = np.ones(4)
         res = minimize(lse.value, x0, jac=lse.gradient, method="L-BFGS-B", tol=1e-12)
-        ev = mmd_restart_time(lse, x0, f_star=res.fun)
+        calls = []
+        counted = replace(lse, gradient=lambda x: calls.append("g") or lse.gradient(x),
+                          value=lambda x: calls.append("f") or lse.value(x))
+        ev = mmd_restart_time(counted, x0, f_star=res.fun)
         assert ev.time > 0
+        # f(x0) for the cap, right after grad f(x0), and f at the event
+        assert calls[:2] == ["g", "f"] and calls.count("f") == 2
