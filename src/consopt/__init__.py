@@ -50,11 +50,9 @@ from .continuous import (
     PiecewiseResult,
     RestartEvent,
     default_time_step,
-    initial_dissipation_slope,
     integrate_conservative,
     kinetic_energy_maxima,
     kinetic_max_restart_time,
-    mean_dissipation,
     mmd_restart_time,
     quadratic_closed_form,
     quadratic_fixed_interval_decrease,

@@ -184,8 +184,8 @@ def _continuous_usage_error(args):
     """What is wrong with the options of ``consopt continuous``, or None.
     ``kinetic-1d`` and ``visiting-time`` read only ``--mu``, so only the
     other checks need a finite ``--L >= --mu``.  The restart-time bound
-    t_r, where read, the curve-length bound 4 sqrt(2) (L / mu) t_r sqrt(gap0)
-    of ``conv-cont`` and ``length``, and |grad f(x0)|^2 = sum lam^2, with
+    t_r, where read, the curve-length bound ``cont.curve_length_bound`` of
+    ``conv-cont`` and ``length``, and |grad f(x0)|^2 = sum lam^2, with
     gap0 = sum lam / 2 for flows from rest at x0 = (1, ..., 1), must be
     positive and finite, not overflowed."""
     if not 0 < args.mu < np.inf:
@@ -201,7 +201,7 @@ def _continuous_usage_error(args):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             bound = cont.restart_time_upper_bound(args.mu, args.L)
             gap0 = 0.5 * np.linspace(args.mu, args.L, args.n).sum()
-            length = 4.0 * np.sqrt(2.0) * (args.L / args.mu) * bound * np.sqrt(gap0)
+            length = cont.curve_length_bound(args.mu, args.L, bound, gap0)
         if not 0 < bound < np.inf:
             return f"--mu and --L give a restart-time bound of {bound:g}; it must be positive and finite"
         if args.check != "mmd-bounds" and not length < np.inf:

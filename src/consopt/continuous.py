@@ -28,6 +28,10 @@ scalar-times-vector products take dt and dt/2 as 0-d float64 arrays,
 which skip the promotion path NumPy 2 takes for a Python float, and the
 piecewise flow takes f at each recorded node right after the gradient
 there, so the oracle's shared product serves it.
+
+``scipy.integrate`` serves only the quadrature of :func:`visiting_time_1d`
+and is imported there, at first use: it adds about 26 MB of resident memory
+to a process that the flow itself never needs.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .objectives import QuadraticObjective, SmoothObjective, _quadratic_min_value
 
@@ -55,10 +58,9 @@ __all__ = [
     "default_time_step",
     "restart_time_lower_bound",
     "restart_time_upper_bound",
+    "curve_length_bound",
     "integrate_conservative",
     "quadratic_closed_form",
-    "mean_dissipation",
-    "initial_dissipation_slope",
     "mmd_restart_time",
     "kinetic_max_restart_time",
     "kinetic_energy_maxima",
@@ -176,6 +178,13 @@ def restart_time_upper_bound(mu: float, L: float) -> float:
     """Uniform restart-time bound 32 L / (mu sqrt(mu)) for the
     mean-dissipation rule on a strongly convex function."""
     return 32.0 * L / (mu * np.sqrt(mu))
+
+
+def curve_length_bound(mu: float, L: float, t_r: float, gap0: float) -> float:
+    """Bound 4 sqrt(2) (L / mu) t_r sqrt(gap0) on the total arc length of
+    the piecewise flow from rest, where t_r bounds every restart time and
+    gap0 = f(x0) - f*."""
+    return 4.0 * np.sqrt(2.0) * (L / mu) * t_r * np.sqrt(gap0)
 
 
 def _strong_upper_bound(obj: SmoothObjective) -> Optional[float]:
@@ -320,21 +329,6 @@ def quadratic_closed_form(lams, x0, t: float):
     v = -x0 * w * np.sin(w * t)
     e_k = 0.5 * float(np.sum(lams * x0**2 * np.sin(w * t) ** 2))
     return x, v, e_k
-
-
-def mean_dissipation(kinetic_energy, t):
-    """r(t) = E_K(t)/t for t > 0 with the continuous extension r(0) = 0."""
-    t_arr = np.asarray(t, dtype=float)
-    e_arr = np.asarray(kinetic_energy, dtype=float)
-    pos = t_arr > 0
-    r = np.where(pos, e_arr / np.where(pos, t_arr, 1.0), 0.0)
-    return float(r) if r.ndim == 0 else r
-
-
-def initial_dissipation_slope(obj: SmoothObjective, x0) -> float:
-    """dr/dt at t = 0, which equals |grad f(x0)|^2 / 2."""
-    g = obj.gradient(np.asarray(x0, dtype=float))
-    return 0.5 * float(g.dot(g))
 
 
 def _mmd_after(t, q, vv):
@@ -593,7 +587,7 @@ def run_piecewise_conservative(
         gaps = np.array(fs) - f_star
         reports.append(bound_report("objective_rate", float(np.max(gaps * factor)), gap0,
                                     slack=1e-7 * max(gap0, 1e-300)))
-        length_rhs = 4.0 * np.sqrt(2.0) * (L / mu) * t_r * np.sqrt(max(gap0, 0.0))
+        length_rhs = curve_length_bound(mu, L, t_r, max(gap0, 0.0))
         reports.append(bound_report("curve_length", total_arc, length_rhs, slack=1e-7 * max(length_rhs, 1e-300)))
     return PiecewiseResult(trajectory=traj, segments=segments, reports=reports)
 
@@ -634,6 +628,8 @@ def visiting_time_1d(f: Callable[[float], float], x0: float, x_star: float, df=N
         if d <= 0.0:
             return limit_value  # only at the u ~ 0 roundoff boundary
         return 2.0 * u / np.sqrt(2.0 * d)
+
+    from scipy.integrate import quad
 
     val, _ = quad(integrand, 0.0, np.sqrt(abs(span)), epsabs=1e-10, epsrel=1e-10, limit=200)
     return float(val)

@@ -6,6 +6,10 @@ problems comes from the companion stream ``default_rng([base_seed + rep, 1])``,
 logistic and log-sum-exp problems start at the origin).  All methods within a
 repetition share the identical instance and starting point, so row streams
 are a pure function of the configuration.
+
+``scipy.special`` is imported at first use, once per l1-logistic reference
+run (:func:`_dual_gap_stop`), so that families which never build a logistic
+or log-sum-exp instance do not load it.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from itertools import repeat
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy.special import entr, expit
 
 from . import composite as comp
 from . import discrete as disc
@@ -231,7 +234,7 @@ def _run_method(name: str, obj, x0, config: ExperimentConfig):
 DUAL_GAP_ULPS = 4
 
 
-def _logistic_l1_dual(f: CompositeObjective, x) -> float:
+def _logistic_l1_dual(f: CompositeObjective, x, entr, expit) -> float:
     """Fenchel dual value of l1-logistic regression at the dual point built
     from x: a lower bound on f* by weak duality, up to rounding.
 
@@ -240,7 +243,8 @@ def _logistic_l1_dual(f: CompositeObjective, x) -> float:
     set ||A u||_inf <= gamma (the rescaling of Ndiaye, Fercoq, Gramfort and
     Salmon, "Gap Safe screening rules for sparsity enforcing penalties",
     JMLR 18, 2017).  With p = y + c theta, the value is
-    sum entr(p) + entr(1 - p).
+    sum entr(p) + entr(1 - p).  The caller passes ``scipy.special``'s
+    ``entr`` and ``expit``, imported once per reference run, not per call.
     """
     A, y = f.smooth.A, f.smooth.y
     # sigmoid(t) - y as the gradient forms it, and 1 - p as (1 - y) - c theta,
@@ -255,12 +259,14 @@ def _dual_gap_stop(f: CompositeObjective):
     """Stop rule for the reference run on l1-logistic regression: true once
     the running min of f and the running max of the dual bound meet within
     ``DUAL_GAP_ULPS`` ulps of the min."""
+    from scipy.special import entr, expit
+
     best_f, best_d = math.inf, -math.inf
 
     def stop(x, fval):
         nonlocal best_f, best_d
         best_f = min(best_f, fval)
-        best_d = max(best_d, _logistic_l1_dual(f, x))
+        best_d = max(best_d, _logistic_l1_dual(f, x, entr, expit))
         return best_f - best_d <= DUAL_GAP_ULPS * np.spacing(abs(best_f))
 
     return stop

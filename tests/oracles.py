@@ -3,7 +3,9 @@
 These deliberately avoid the library's own code paths: gradients come from
 central differences, subgradient minima from dense search over the
 subdifferential interval, and reference roots/integrals from scipy solvers
-applied to the defining equations.
+applied to the defining equations.  The mean dissipation rate of the
+conservative flow, r(t) = E_K(t) / t, and its slope at t = 0 are stated here
+too: only the tests read them.
 """
 
 import numpy as np
@@ -41,3 +43,18 @@ def mean_dissipation_root_1d(mu=1.0):
 # Frozen value of mean_dissipation_root_1d(1.0); equals the first positive
 # solution of tan(u) = 2u.
 TAN_ROOT = 1.1655611852072114
+
+
+def mean_dissipation(kinetic_energy, t):
+    """r(t) = E_K(t)/t for t > 0 with the continuous extension r(0) = 0."""
+    t_arr = np.asarray(t, dtype=float)
+    e_arr = np.asarray(kinetic_energy, dtype=float)
+    pos = t_arr > 0
+    r = np.where(pos, e_arr / np.where(pos, t_arr, 1.0), 0.0)
+    return float(r) if r.ndim == 0 else r
+
+
+def initial_dissipation_slope(obj, x0) -> float:
+    """dr/dt at t = 0, which equals |grad f(x0)|^2 / 2."""
+    g = obj.gradient(np.asarray(x0, dtype=float))
+    return 0.5 * float(g.dot(g))

@@ -11,11 +11,9 @@ from consopt.continuous import (
     _verlet,
     default_time_step,
     finite_restart_cap,
-    initial_dissipation_slope,
     integrate_conservative,
     kinetic_energy_maxima,
     kinetic_max_restart_time,
-    mean_dissipation,
     mmd_restart_time,
     quadratic_closed_form,
     quadratic_fixed_interval_decrease,
@@ -33,7 +31,7 @@ from consopt.objectives import (
     quadratic_objective,
 )
 
-from oracles import TAN_ROOT, mean_dissipation_root_1d
+from oracles import TAN_ROOT, initial_dissipation_slope, mean_dissipation, mean_dissipation_root_1d
 
 
 def quad_1d(mu=1.0):

@@ -21,6 +21,7 @@ from consopt.discrete import (
 from consopt.harness import ExperimentConfig, build_instance
 from consopt.objectives import (
     CompositeObjective,
+    SmoothObjective,
     gen_logistic_instance,
     gen_logsumexp_instance,
     gen_random_quadratic,
@@ -227,6 +228,43 @@ class TestRcmRun:
             with pytest.warns(UserWarning, match="outside the convergence range") as record:
                 run()
             assert all(w.filename == __file__ for w in record)
+
+
+def _scaled(obj, c):
+    """c f as a ``SmoothObjective``: value, gradient, Lipschitz bound and
+    strong convexity all scaled by c."""
+    mu = obj.strong_convexity
+    return SmoothObjective(value=lambda x: c * obj.value(x), gradient=lambda x: c * obj.gradient(x),
+                           lipschitz=c * obj.lipschitz, strong_convexity=None if mu is None else c * mu)
+
+
+@pytest.mark.parametrize("problem", ["quadratic", "logistic"])
+@pytest.mark.parametrize("l1", [False, True], ids=["smooth", "composite"])
+@pytest.mark.parametrize("criterion", ["grad", "kin", "mmd-r"])
+def test_restarts_do_not_depend_on_the_units_of_f(problem, l1, criterion):
+    """``grad``, ``kin`` and ``mmd-r`` restart, and the composite loop
+    crosses, at the same iterations on f and on c f (c g + c gamma ||.||_1
+    for a composite) at h = 1/sqrt(cL): the run on c f is the run on f with
+    v scaled by sqrt(c) and g by c.  c = 1/16 and 16 are powers of 4, so
+    sqrt(c) is a power of 2 and every scaling is exact in floats; at c = 1/3
+    or 7 the two runs drift apart through rounding, so such c are not used.
+    ``mmd-dr`` is left out: its restarts depend on the units of f
+    (``should_restart``)."""
+    for seed in (1, 2, 3):
+        f, x0 = build_instance(ExperimentConfig(problem=problem, l1=l1, n=50, m=200, base_seed=seed), 0)
+        smooth = f.smooth if l1 else f
+        h = 1.0 / math.sqrt(smooth.lipschitz)
+        run = rcm_comp_run if l1 else rcm_run
+        base = run(f, x0, h, criterion, 400)
+        assert base.restarts.any()
+        for c in (1.0 / 16.0, 16.0):
+            cf = _scaled(smooth, c)
+            if l1:
+                cf = CompositeObjective(smooth=cf, l1_weight=c * f.l1_weight)
+            scaled = run(cf, x0, 1.0 / math.sqrt(c * smooth.lipschitz), criterion, 400)
+            assert np.array_equal(scaled.restarts, base.restarts)
+            if l1:
+                assert base.crossings.any() and np.array_equal(scaled.crossings, base.crossings)
 
 
 class TestGradientDescent:

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import entr, expit
 
 from consopt import discrete, harness
 from consopt.composite import fista_restart_run
@@ -237,8 +239,8 @@ class TestEstimateFstar:
             far = [scale * rng.standard_normal(n) for scale in (0.01, 0.1, 1.0, 10.0) for _ in range(5)]
             near = list(fista_restart_run(f, x0, 1.0 / f.smooth.lipschitz, 300, keep_iterates=True).xs[::7])
             p_min = min(f.value(x) for x in far + near)
-            assert max(_logistic_l1_dual(f, x) for x in far) < p_min
-            assert max(_logistic_l1_dual(f, x) for x in near) <= p_min + 2 * np.spacing(p_min)
+            assert max(_logistic_l1_dual(f, x, entr, expit) for x in far) < p_min
+            assert max(_logistic_l1_dual(f, x, entr, expit) for x in near) <= p_min + 2 * np.spacing(p_min)
 
     def test_certified_reference_on_the_criterion_08_family(self):
         # On the 20 l1-logistic reps of criterion 08, the certified f* is at
@@ -262,6 +264,38 @@ class TestEstimateFstar:
             full_min = float(np.min(fista_restart_run(obj, x0, 1.0 / smooth.lipschitz, 10 * cfg.max_iter).fvals))
             assert full_min <= f_star <= full_min + DUAL_GAP_ULPS * np.spacing(full_min)
         assert (grad_calls[9], grad_calls[19]) == (105, 95)
+
+
+_SCIPY_FOOTPRINT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import consopt
+from consopt.harness import ExperimentConfig, build_instance, estimate_fstar, run_experiment
+
+def loaded():
+    return sorted(m for m in ("scipy.integrate", "scipy.special") if m in sys.modules)
+
+run_experiment(ExperimentConfig(problem="quadratic", n=5, reps=1, max_iter=20))
+consopt.run_piecewise_conservative(consopt.quadratic_objective(np.diag([1.0, 2.0]), np.zeros(2)), np.ones(2),
+                                   n_restarts=1)
+assert loaded() == [], loaded()
+f, x0 = build_instance(ExperimentConfig(problem="logistic", l1=True, n=5, m=20, max_iter=20), 0)
+estimate_fstar(f, x0, 20)
+assert loaded() == ["scipy.special"], loaded()
+consopt.visiting_time_1d(lambda x: 0.5 * x * x, 1.0, 0.0)
+assert loaded() == ["scipy.integrate", "scipy.special"], loaded()
+"""
+
+
+def test_scipy_submodules_load_only_where_a_run_uses_them():
+    # In a child process, since this one has SciPy loaded by other test
+    # modules: a quadratic family and a flow load neither scipy.special nor
+    # scipy.integrate, an l1-logistic f* loads scipy.special only, and the
+    # 1-D visiting time loads scipy.integrate.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_FOOTPRINT, src], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestCsv:
