@@ -123,6 +123,15 @@ class TestLogistic:
             logistic_objective(A, np.array([0.0, 1.0]))
 
 
+# The (n, m, seed) of every logistic instance that the tests draw, besides
+# seeds below 2000 at 50 x 200.
+TESTED_LOGISTIC_INSTANCES = [
+    (4, 10, 1), (5, 12, 3), (6, 15, 0), (6, 20, 0), (6, 20, 1), (6, 25, 5), (7, 31, 9), (8, 16, 8),
+    (8, 20, 3), (8, 20, 4), (8, 25, 0), (8, 30, 0), (10, 30, 0), (10, 30, 1), (10, 30, 5), (10, 30, 6),
+    (10, 40, 11), (20, 60, 4), (20, 60, 5), (50, 200, 70002), (100, 500, 0), (200, 400, 200),
+]
+
+
 class TestLogisticGenerator:
     def test_shapes_and_labels(self):
         A, y, x_true = gen_logistic_instance(7, 31, 9)
@@ -141,6 +150,20 @@ class TestLogisticGenerator:
         b = gen_logistic_instance(10, 40, 11)
         for u, v in zip(a, b):
             assert np.array_equal(u, v)
+
+    def test_labels_are_scipy_expit_draws(self):
+        # The labels are u < expit(A' x_true) with SciPy's expit, on seeds
+        # 0-1999 at the benchmark's 50 x 200 and on every other instance
+        # the tests draw, so a change of the sigmoid's formula moves no
+        # instance.
+        cases = [(50, 200, seed) for seed in range(2000)] + TESTED_LOGISTIC_INSTANCES
+        for n, m, seed in cases:
+            A, y, x_true = gen_logistic_instance(n, m, seed)
+            rng = np.random.default_rng(seed)
+            assert np.array_equal(0.1 * rng.standard_normal(n), x_true)
+            assert np.array_equal(rng.standard_normal((n, m)), A)
+            u = rng.uniform(size=m)
+            assert np.array_equal(y, (u < expit(A.T @ x_true)).astype(float)), (n, m, seed)
 
 
 class TestLogSumExp:
