@@ -7,9 +7,10 @@ logistic and log-sum-exp problems start at the origin).  All methods within a
 repetition share the identical instance and starting point, so row streams
 are a pure function of the configuration.
 
-``scipy.special`` is imported at first use, once per l1-logistic reference
-run (:func:`_dual_gap_stop`), so that families which never build a logistic
-or log-sum-exp instance do not load it.
+The l1-logistic dual bound runs on NumPy alone: it forms the dual point
+with the logistic gradient's own sigmoid and takes SciPy's definition of
+the entropy terms (:func:`_entr`) without SciPy, so only a log-sum-exp
+family loads ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .objectives import (
     QuadraticObjective,
     SmoothObjective,
     _quadratic_min_value,
+    _sigmoid_neg,
     gen_logistic_instance,
     gen_logsumexp_instance,
     gen_random_quadratic,
@@ -227,14 +229,25 @@ def _run_method(name: str, obj, x0, config: ExperimentConfig):
 
 
 # Width of the dual certificate, in ulps of |f*|.  f and D are sums of m
-# rounded terms, and near the optimum of the l1-logistic test instances D
-# exceeded the smallest f by up to 2 ulps.  A gap of twice that is reached
-# whatever the rounding, and on the criterion-08 family every reference
-# still stops after its minimum.
+# rounded terms.  Along 3000-step FISTA-restart runs on the l1-logistic
+# test instances and the 20 criterion-08 reps, D exceeded the smallest f
+# by up to 2 ulps, with the NumPy dual as with SciPy's entr and expit.  A
+# gap of twice that is reached whatever the rounding, and on the
+# criterion-08 family every reference still stops after its minimum.
 DUAL_GAP_ULPS = 4
 
 
-def _logistic_l1_dual(f: CompositeObjective, x, entr, expit) -> float:
+def _entr(p):
+    """Elementwise entropy term with ``scipy.special.entr``'s definition:
+    -p log p for p > 0, 0 at p = 0 and -inf below (NaN stays NaN).  The log
+    is taken only where p > 0, and the product only of p clipped at 0, so
+    no RuntimeWarning fires."""
+    q = np.maximum(p, 0.0)
+    log_q = np.log(q, out=np.zeros_like(q), where=q > 0.0)
+    return np.where(p < 0.0, -np.inf, -q * log_q)
+
+
+def _logistic_l1_dual(f: CompositeObjective, x) -> float:
     """Fenchel dual value of l1-logistic regression at the dual point built
     from x: a lower bound on f* by weak duality, up to rounding.
 
@@ -243,30 +256,29 @@ def _logistic_l1_dual(f: CompositeObjective, x, entr, expit) -> float:
     set ||A u||_inf <= gamma (the rescaling of Ndiaye, Fercoq, Gramfort and
     Salmon, "Gap Safe screening rules for sparsity enforcing penalties",
     JMLR 18, 2017).  With p = y + c theta, the value is
-    sum entr(p) + entr(1 - p).  The caller passes ``scipy.special``'s
-    ``entr`` and ``expit``, imported once per reference run, not per call.
+    sum entr(p) + entr(1 - p), entr(p) = -p log p with entr(0) = 0
+    (:func:`_entr`).
     """
     A, y = f.smooth.A, f.smooth.y
     # sigmoid(t) - y as the gradient forms it, and 1 - p as (1 - y) - c theta,
     # so that neither loses the small entries of 1 - p where p is near 1.
-    theta = (1.0 - y) - expit(-(A.T @ x))
-    norm = float(np.abs(A @ theta).max())
+    t = A.T.dot(x)
+    theta = (1.0 - y) - _sigmoid_neg(t, np.exp(-np.abs(t)))
+    norm = float(np.abs(A.dot(theta)).max())
     ctheta = theta if norm <= f.l1_weight else (f.l1_weight / norm) * theta
-    return float((entr(y + ctheta) + entr((1.0 - y) - ctheta)).sum())
+    return float((_entr(y + ctheta) + _entr((1.0 - y) - ctheta)).sum())
 
 
 def _dual_gap_stop(f: CompositeObjective):
     """Stop rule for the reference run on l1-logistic regression: true once
     the running min of f and the running max of the dual bound meet within
     ``DUAL_GAP_ULPS`` ulps of the min."""
-    from scipy.special import entr, expit
-
     best_f, best_d = math.inf, -math.inf
 
     def stop(x, fval):
         nonlocal best_f, best_d
         best_f = min(best_f, fval)
-        best_d = max(best_d, _logistic_l1_dual(f, x, entr, expit))
+        best_d = max(best_d, _logistic_l1_dual(f, x))
         return best_f - best_d <= DUAL_GAP_ULPS * np.spacing(abs(best_f))
 
     return stop

@@ -3,11 +3,15 @@
 These deliberately avoid the library's own code paths: gradients come from
 central differences, subgradient minima from dense search over the
 subdifferential interval, and reference roots/integrals from scipy solvers
-applied to the defining equations.  The mean dissipation rate of the
+applied to the defining equations, or 200-bit ``mpmath`` values to
+measure rounding errors in ulps.  The mean dissipation rate of the
 conservative flow, r(t) = E_K(t) / t, and its slope at t = 0 are stated here
 too: only the tests read them.
 """
 
+import math
+
+import mpmath
 import numpy as np
 from scipy.optimize import brentq
 
@@ -22,6 +26,23 @@ def fd_gradient(fun, x, rel_step=1e-6):
         e[i] = h
         g[i] = (fun(x + e) - fun(x - e)) / (2.0 * h)
     return g
+
+
+def max_ulps(computed, exact):
+    """Largest error of the float64 values ``computed`` against the mpmath
+    values ``exact``, in units in the last place of the exact value:
+    2**(e - 52) for |exact| in [2**e, 2**(e + 1)), and 2**-1074 below
+    2**-1022.  A zero or infinite exact value must be met exactly."""
+    worst = 0.0
+    for c, r in zip(np.asarray(computed, dtype=float).tolist(), exact):
+        r = mpmath.mpf(r)
+        if r == 0 or mpmath.isinf(r) or math.isinf(c):
+            err = 0.0 if c == r else math.inf
+        else:
+            ulp = mpmath.ldexp(1, max(mpmath.frexp(r)[1] - 1, -1022) - 52)
+            err = float(abs(mpmath.mpf(c) - r) / ulp)
+        worst = max(worst, err)
+    return worst
 
 
 def brute_force_min_subgradient(grad_i, gamma, n_grid=2_000_001):

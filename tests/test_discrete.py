@@ -544,7 +544,7 @@ def test_fixed_point_rows_are_copies_made_without_oracle_calls(method):
     # max_iter; the runner then stops calling the oracle, and its rows,
     # iterates and final state still match the loop run to the end.
     if method.startswith("fista"):
-        A, y, _ = gen_logistic_instance(8, 30, 0)
+        A, y, _ = gen_logistic_instance(8, 30, 2)
         smooth = logistic_objective(A, y)
         gamma = l1_weight_rule("logistic", smooth.gradient(np.zeros(8)))
         f = CompositeObjective(smooth=smooth, l1_weight=gamma)
@@ -633,7 +633,7 @@ def _columns(trace):
 def test_at_rest_rows_are_copies_made_without_oracle_calls(runner, criterion):
     # Both instances come to rest (v = 0 and h g = 0) well before max_iter:
     # 2 ||x||^2 at h = 1/2 after a restart, which leaves v = -0.0, and an
-    # l1-logistic instance of the logistic-l1 benchmark at rows 58-68.  The
+    # l1-logistic instance of the logistic-l1 benchmark at rows 49-59.  The
     # runner then stops calling the oracle, and every column still matches
     # the loop run to the end.
     if runner == "rcm_run":
@@ -644,7 +644,7 @@ def test_at_rest_rows_are_copies_made_without_oracle_calls(runner, criterion):
         ref, calls_at_row = _rcm_loop_without_stop(obj.value, obj.gradient, x0, h, criterion, max_iter,
                                                    f"rcm-{criterion}")
     else:
-        f, x0 = build_instance(ExperimentConfig(problem="logistic", l1=True, n=50, m=200, base_seed=70002), 0)
+        f, x0 = build_instance(ExperimentConfig(problem="logistic", l1=True, n=50, m=200, base_seed=70008), 0)
         h, max_iter = 1.0 / np.sqrt(f.smooth.lipschitz), 1000
         counted, calls = _counted(f.smooth)
         trace = rcm_comp_run(replace(f, smooth=counted), x0, h, criterion, max_iter, keep_iterates=True)

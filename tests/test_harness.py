@@ -7,9 +7,10 @@ import sys
 import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import entr, expit
+from scipy.special import entr
 
 from consopt import discrete, harness
 from consopt.composite import fista_restart_run
@@ -19,6 +20,7 @@ from consopt.harness import (
     PROBLEMS,
     ExperimentConfig,
     ResultRow,
+    _entr,
     _logistic_l1_dual,
     _run_method,
     build_instance,
@@ -28,8 +30,10 @@ from consopt.harness import (
     write_csv,
     write_report,
 )
-from consopt.objectives import CompositeObjective, quadratic_objective
+from consopt.objectives import CompositeObjective, _sigmoid_neg, quadratic_objective
 from consopt.cli import main as cli_main
+
+from oracles import max_ulps
 
 # A quadratic family, whose exact f* makes some gaps clip at roundoff, with
 # one method (gd at s = 10 > 2/L) that diverges on every repetition.
@@ -239,8 +243,36 @@ class TestEstimateFstar:
             far = [scale * rng.standard_normal(n) for scale in (0.01, 0.1, 1.0, 10.0) for _ in range(5)]
             near = list(fista_restart_run(f, x0, 1.0 / f.smooth.lipschitz, 300, keep_iterates=True).xs[::7])
             p_min = min(f.value(x) for x in far + near)
-            assert max(_logistic_l1_dual(f, x, entr, expit) for x in far) < p_min
-            assert max(_logistic_l1_dual(f, x, entr, expit) for x in near) <= p_min + 2 * np.spacing(p_min)
+            assert max(_logistic_l1_dual(f, x) for x in far) < p_min
+            assert max(_logistic_l1_dual(f, x) for x in near) <= p_min + 2 * np.spacing(p_min)
+
+    def test_entropy_terms_are_no_less_accurate_than_scipy(self):
+        # -p log p against the 200-bit mpmath value on [0, 1], subnormals
+        # included, by no more ulps than scipy.special.entr; and SciPy's
+        # values, without a warning, at 0, below 0, at inf and at NaN.
+        p = np.concatenate([[0.0, 5e-324, 1e-320, 1e-310, 2.225073858507201e-308, 2.2250738585072014e-308],
+                            np.logspace(-307, 0, 200), 1.0 - np.logspace(-16, -0.01, 50)])
+        with mpmath.workprec(200):
+            exact = [-v * mpmath.log(v) if v > 0 else 0 for v in map(mpmath.mpf, p.tolist())]
+        assert max_ulps(_entr(p), exact) <= max_ulps(entr(p), exact)
+        special = np.array([0.0, -0.0, -5e-324, -1.0, -np.inf, np.inf, np.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(_entr(special), entr(special), equal_nan=True)
+
+    def test_dual_point_gives_the_gradient(self):
+        # A theta, with theta formed as _logistic_l1_dual forms it, is the
+        # smooth gradient bit for bit, at random points and along a
+        # reference run, so the dual could take the gradient's product.
+        f, x0 = build_instance(ExperimentConfig(problem="logistic", l1=True, n=50, m=200, base_seed=0), 0)
+        A, y = f.smooth.A, f.smooth.y
+        rng = np.random.default_rng(0)
+        points = [scale * rng.standard_normal(50) for scale in np.logspace(-3, 1, 50)]
+        points += list(fista_restart_run(f, x0, 1.0 / f.smooth.lipschitz, 200, keep_iterates=True).xs)
+        for x in points:
+            t = A.T.dot(x)
+            theta = (1.0 - y) - _sigmoid_neg(t, np.exp(-np.abs(t)))
+            assert A.dot(theta).tobytes() == f.smooth.gradient(x).tobytes()
 
     def test_certified_reference_on_the_criterion_08_family(self):
         # On the 20 l1-logistic reps of criterion 08, the certified f* is at
@@ -263,7 +295,7 @@ class TestEstimateFstar:
             grad_calls[rep] = calls[0]
             full_min = float(np.min(fista_restart_run(obj, x0, 1.0 / smooth.lipschitz, 10 * cfg.max_iter).fvals))
             assert full_min <= f_star <= full_min + DUAL_GAP_ULPS * np.spacing(full_min)
-        assert (grad_calls[9], grad_calls[19]) == (105, 95)
+        assert (grad_calls[9], grad_calls[19]) == (105, 99)
 
 
 _SCIPY_FOOTPRINT = """
@@ -282,6 +314,10 @@ consopt.run_piecewise_conservative(consopt.quadratic_objective(np.diag([1.0, 2.0
 assert loaded() == [], loaded()
 f, x0 = build_instance(ExperimentConfig(problem="logistic", l1=True, n=5, m=20, max_iter=20), 0)
 estimate_fstar(f, x0, 20)
+for l1 in (False, True):
+    run_experiment(ExperimentConfig(problem="logistic", l1=l1, n=5, m=20, max_iter=20))
+assert loaded() == [], loaded()
+build_instance(ExperimentConfig(problem="logsumexp", n=5, m=20, max_iter=20), 0)
 assert loaded() == ["scipy.special"], loaded()
 consopt.visiting_time_1d(lambda x: 0.5 * x * x, 1.0, 0.0)
 assert loaded() == ["scipy.integrate", "scipy.special"], loaded()
@@ -290,9 +326,10 @@ assert loaded() == ["scipy.integrate", "scipy.special"], loaded()
 
 def test_scipy_submodules_load_only_where_a_run_uses_them():
     # In a child process, since this one has SciPy loaded by other test
-    # modules: a quadratic family and a flow load neither scipy.special nor
-    # scipy.integrate, an l1-logistic f* loads scipy.special only, and the
-    # 1-D visiting time loads scipy.integrate.
+    # modules: a quadratic family, a flow, an l1-logistic f* and logistic
+    # families load neither scipy.special nor scipy.integrate, a
+    # log-sum-exp instance loads scipy.special only, and the 1-D visiting
+    # time loads scipy.integrate.
     src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
     proc = subprocess.run([sys.executable, "-c", _SCIPY_FOOTPRINT, src], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
