@@ -48,8 +48,8 @@ GOLDEN = {
     "bench-quadratic": "5f5440a698e46c780c45caa1e407800e0362782eb69e04041ab49d24f3b55557",
     "csv-quadratic": "ca329359259067b4d433fe70440eda2569ec12cc1beb38d8f5fce6f7df3e0e2b",
     "csv-quadratic-l1": "11889a5c829cbd71e0b2967b360cb786a884f98856fc5fa96510ffb7f3a5cbae",
-    "csv-logistic": "155e49928b7f3a29e200b4e6bfad4e82ea50d510edd58daaa237c37c96e4e723",
-    "csv-logistic-l1": "188640b93abd104e79a93613afaa37aacb7c9266dd31e2d076e56e4945a8727e",
+    "csv-logistic": "7141692885769f34d56a41547bdc86c7a3b2fdd3f34ec572372a86fe1831923c",
+    "csv-logistic-l1": "85d4343629b0bafad3637ba0798116639270f3007515064d6c8bd9e411634716",
     "csv-logsumexp": "1efc48e33da9c8549f81f57164c00fdf3838df9b410bff3da9ed1e54865cc920",
     "csv-logsumexp-l1": "a94bcccd56b6de6b2fb86d57a548e91b65502e78110e9c8cd9930fb535850f2f",
     "integrate-conservative": "e88c19747ea44466a9c59cd8fac2b429f901ede9e8e15a9dcd8e077e304ac2fd",
@@ -57,7 +57,7 @@ GOLDEN = {
     "nesterov-traces": "022402632018302dd8c5cd15dc9ef914a2ad737a4969f6e90a81084638da1821",
     "piecewise-coercive": "12b01cd2efd9c413957f77787dd4de20e82f3998eab09696e6c30390024b94a7",
     "piecewise-conservative": "c3faacf103d042b95f30aa69631f6bcdf0e5863c10377b8b3dd6eb638296a627",
-    "rcm-traces": "d713a93cf5ee4616267b47ee723ee1a61b875e3b7889ee47da8fe6c8c784a763",
+    "rcm-traces": "aab51144a866f9393de949dbc799fbb99a3840ff84954f947848cd2b2fdf6637",
 }
 
 
