@@ -31,6 +31,7 @@ from .objectives import (
     LogisticObjective,
     QuadraticObjective,
     SmoothObjective,
+    _exp_neg_abs,
     _quadratic_min_value,
     _sigmoid_neg,
     gen_logistic_instance,
@@ -263,7 +264,7 @@ def _logistic_l1_dual(f: CompositeObjective, x) -> float:
     # sigmoid(t) - y as the gradient forms it, and 1 - p as (1 - y) - c theta,
     # so that neither loses the small entries of 1 - p where p is near 1.
     t = A.T.dot(x)
-    theta = (1.0 - y) - _sigmoid_neg(t, np.exp(-np.abs(t)))
+    theta = (1.0 - y) - _sigmoid_neg(t, _exp_neg_abs(t))
     norm = float(np.abs(A.dot(theta)).max())
     ctheta = theta if norm <= f.l1_weight else (f.l1_weight / norm) * theta
     return float((_entr(y + ctheta) + _entr((1.0 - y) - ctheta)).sum())

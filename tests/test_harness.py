@@ -30,7 +30,7 @@ from consopt.harness import (
     write_csv,
     write_report,
 )
-from consopt.objectives import CompositeObjective, _sigmoid_neg, quadratic_objective
+from consopt.objectives import CompositeObjective, _exp_neg_abs, _sigmoid_neg, quadratic_objective
 from consopt.cli import main as cli_main
 
 from oracles import max_ulps
@@ -271,7 +271,7 @@ class TestEstimateFstar:
         points += list(fista_restart_run(f, x0, 1.0 / f.smooth.lipschitz, 200, keep_iterates=True).xs)
         for x in points:
             t = A.T.dot(x)
-            theta = (1.0 - y) - _sigmoid_neg(t, np.exp(-np.abs(t)))
+            theta = (1.0 - y) - _sigmoid_neg(t, _exp_neg_abs(t))
             assert A.dot(theta).tobytes() == f.smooth.gradient(x).tobytes()
 
     def test_certified_reference_on_the_criterion_08_family(self):

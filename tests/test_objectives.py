@@ -12,6 +12,7 @@ from scipy.special import expit, logsumexp, softmax
 
 from consopt.composite import fista_restart_run
 from consopt.objectives import (
+    _exp_neg_abs,
     _shared_product,
     _sigmoid_neg,
     CompositeObjective,
@@ -116,6 +117,13 @@ class TestLogistic:
         x = 1e4 * np.ones(4)
         assert np.isfinite(obj.value(x))
         assert np.all(np.isfinite(obj.gradient(x)))
+
+    def test_value_takes_the_loss_limit_at_infinite_margins(self):
+        # t = A'x = (inf, -inf): both samples on their label's side cost 0,
+        # and both on the wrong side cost inf, where (1 - y) t would give NaN.
+        obj = logistic_objective(np.array([[1.0, -1.0]]), np.array([1.0, 0.0]))
+        assert obj.value(np.array([np.inf])) == 0.0
+        assert obj.value(np.array([-np.inf])) == np.inf
 
     def test_rejects_bad_labels(self):
         A = np.ones((2, 3))
@@ -485,10 +493,15 @@ def test_logistic_terms_are_no_less_accurate_than_scipy():
     log1p(e), with e = exp(-|t|), err from the 200-bit mpmath values by no
     more ulps than SciPy's expit(-t) and NumPy's logaddexp(0, -t), at both
     signs of the oracle-formula tests' 50 scales and at 0, 745, 800 and
-    inf."""
+    inf.  The helpers return the bits of np.exp(-np.abs(t)) and of
+    np.where(t <= 0, 1, e) / (1 + e) there and at NaN."""
     scales = np.concatenate([np.logspace(-8, 8, 50), [0.0, 745.0, 800.0, np.inf]])
     t = np.concatenate([scales, -scales])
-    e = np.exp(-np.abs(t))
+    u = np.append(t, [np.nan, -np.nan])
+    assert _exp_neg_abs(u).tobytes() == np.exp(-np.abs(u)).tobytes()
+    assert _sigmoid_neg(u, _exp_neg_abs(u)).tobytes() == (
+        np.where(u <= 0.0, 1.0, np.exp(-np.abs(u))) / (1.0 + np.exp(-np.abs(u)))).tobytes()
+    e = _exp_neg_abs(t)
     with mpmath.workprec(200):
         sigmoid = [1 / (1 + mpmath.exp(v)) for v in t.tolist()]
         softplus = [mpmath.log1p(mpmath.exp(-mpmath.mpf(v))) for v in t.tolist()]
