@@ -32,16 +32,18 @@ def max_ulps(computed, exact):
     """Largest error of the float64 values ``computed`` against the mpmath
     values ``exact``, in units in the last place of the exact value:
     2**(e - 52) for |exact| in [2**e, 2**(e + 1)), and 2**-1074 below
-    2**-1022.  A zero or infinite exact value must be met exactly."""
+    2**-1022.  A zero or infinite exact value must be met exactly.  The
+    error is formed at 200 bits."""
     worst = 0.0
-    for c, r in zip(np.asarray(computed, dtype=float).tolist(), exact):
-        r = mpmath.mpf(r)
-        if r == 0 or mpmath.isinf(r) or math.isinf(c):
-            err = 0.0 if c == r else math.inf
-        else:
-            ulp = mpmath.ldexp(1, max(mpmath.frexp(r)[1] - 1, -1022) - 52)
-            err = float(abs(mpmath.mpf(c) - r) / ulp)
-        worst = max(worst, err)
+    with mpmath.workprec(200):
+        for c, r in zip(np.asarray(computed, dtype=float).tolist(), exact):
+            r = mpmath.mpf(r)
+            if r == 0 or mpmath.isinf(r) or math.isinf(c):
+                err = 0.0 if c == r else math.inf
+            else:
+                ulp = mpmath.ldexp(1, max(mpmath.frexp(r)[1] - 1, -1022) - 52)
+                err = float(abs(mpmath.mpf(c) - r) / ulp)
+            worst = max(worst, err)
     return worst
 
 
