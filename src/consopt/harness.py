@@ -232,9 +232,9 @@ def _run_method(name: str, obj, x0, config: ExperimentConfig):
 # Width of the dual certificate, in ulps of |f*|.  f and D are sums of m
 # rounded terms.  Along 3000-step FISTA-restart runs on the l1-logistic
 # test instances and the 20 criterion-08 reps, D exceeded the smallest f
-# by up to 2 ulps, with the NumPy dual as with SciPy's entr and expit.  A
-# gap of twice that is reached whatever the rounding, and on the
-# criterion-08 family every reference still stops after its minimum.
+# by up to 2 ulps.  A gap of twice that is reached whatever the rounding,
+# and on the criterion-08 family every reference still stops after its
+# minimum.
 DUAL_GAP_ULPS = 4
 
 
