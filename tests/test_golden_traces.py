@@ -57,6 +57,7 @@ GOLDEN = {
     "nesterov-traces": "022402632018302dd8c5cd15dc9ef914a2ad737a4969f6e90a81084638da1821",
     "piecewise-coercive": "12b01cd2efd9c413957f77787dd4de20e82f3998eab09696e6c30390024b94a7",
     "piecewise-conservative": "c3faacf103d042b95f30aa69631f6bcdf0e5863c10377b8b3dd6eb638296a627",
+    "rcm-comp-cycles": "8c608d81a74d39c0bbec9d4c4ced424663b76347441363186cecc2a3d02952a5",
     "rcm-traces": "aab51144a866f9393de949dbc799fbb99a3840ff84954f947848cd2b2fdf6637",
 }
 
@@ -162,6 +163,21 @@ def _rcm_traces():
             rcm_comp_run(CompositeObjective(smooth=quad, l1_weight=0.05), x0, 3.0 * h, "kin", 500,
                          keep_iterates=True)
     traces += [smooth_info.value.partial_trace, comp_info.value.partial_trace]
+    return _sha(*[c for t in traces for c in _trace_bytes(t)])
+
+
+def _rcm_comp_cycles():
+    """The four conservative composite runs, iterates kept, on the first
+    four l1-logistic instances of the logistic-l1 benchmark's seed 1
+    (n = 50, m = 200, max_iter = 1000).  Between them they end in exact
+    cycles of the (x, v, lag) state with periods 1, 2, 3, 4, 6 and 12
+    (base seed 10000: period 3 from row 64 for grad and mmd-dr), at rest,
+    and in no repeat at all."""
+    traces = []
+    for base_seed in range(10000, 10004):
+        f, x0 = build_instance(ExperimentConfig(problem="logistic", l1=True, n=50, m=200, base_seed=base_seed), 0)
+        h = 1.0 / np.sqrt(f.smooth.lipschitz)
+        traces += [rcm_comp_run(f, x0, h, criterion, 1000, keep_iterates=True) for criterion in RESTART_CRITERIA]
     return _sha(*[c for t in traces for c in _trace_bytes(t)])
 
 
@@ -278,6 +294,7 @@ def test_golden_digest(name, tmp_path):
             "nesterov-traces": _nesterov_traces,
             "piecewise-coercive": _piecewise_coercive,
             "piecewise-conservative": _piecewise_conservative,
+            "rcm-comp-cycles": _rcm_comp_cycles,
             "rcm-traces": _rcm_traces,
         }[name]()
     assert digest == GOLDEN[name]
