@@ -71,6 +71,12 @@ def rcm_comp_run(f: CompositeObjective, x0, h: float, criterion: str, max_iter: 
     With ``l1_weight == 0`` the non-differentiability set is empty, nothing
     is projected, and the trace equals the smooth run on ``f.smooth`` plus
     a ``crossings`` column of False.
+
+    A run that comes to rest, or whose state (x, v and the lag since the
+    last restart or crossing) repeats an earlier one bit for bit, writes
+    its remaining rows as copies of the period without oracle calls, as
+    ``rcm_run`` does; sign crossings make such cycles common on l1
+    problems.
     """
     project = sign_crossing_projection if f.l1_weight > 0.0 else lambda x_old, x_new: (x_new, False)
     return _rcm_loop(f.value, lambda x: minimal_norm_subgradient(f, x), f.smooth.lipschitz, x0, h, criterion,

@@ -8,7 +8,11 @@ the mean-dissipation test), together with gradient descent and the Nesterov
 accelerated methods used as baselines.
 
 Every run is deterministic given its inputs, never mutates the objective,
-and records one trace row per iteration plus the starting point.
+and records one trace row per iteration plus the starting point.  A run
+whose state comes back bit for bit, at a fixed point or, for the
+conservative loop, in a cycle of any period, writes its remaining rows as
+copies without further oracle calls; this takes the oracle to be a
+function of the bits of its point.
 """
 
 from __future__ import annotations
@@ -127,20 +131,28 @@ class _Recorder:
                 partial_trace=self.trace(x, v),
             )
 
-    def fill(self, max_iter):
-        """Repeat the last row for every iteration up to ``max_iter``, for a
-        run whose state no longer changes: same value, residual and
-        iterates, no restart and no crossing."""
+    def fill(self, max_iter, period=None):
+        """Write the rows up to ``max_iter`` without computing them.
+
+        Without ``period`` the run's state no longer changes: every later
+        row repeats the last one's value, residual and iterates, with no
+        restart and no crossing.  With it, the last ``period`` rows are one
+        period of an exact cycle, and the rows still to come, a multiple of
+        ``period``, repeat them column by column, flags included."""
         n = max_iter + 1 - len(self.fvals)
-        self.fvals.extend([self.fvals[-1]] * n)
-        self.residuals.extend([self.residuals[-1]] * n)
-        self.restarts.extend([False] * n)
-        if self.crossings:
-            self.crossings.extend([False] * n)
-        if self.xs is not None:
-            self.xs.extend([self.xs[-1]] * n)
-        if self.vs:
-            self.vs.extend([self.vs[-1]] * n)
+        columns = [self.fvals, self.residuals, self.xs, self.vs]
+        if period is None:
+            # A fixed point neither restarts nor crosses, whatever the step
+            # into it did.
+            period = 1
+            self.restarts.extend([False] * n)
+            if self.crossings:
+                self.crossings.extend([False] * n)
+        else:
+            columns += [self.restarts, self.crossings]
+        for col in columns:
+            if col:
+                col.extend(col[-period:] * (n // period))
 
     def trace(self, x, v=None):
         """The rows so far, ending in iterate x with velocity v."""
@@ -219,6 +231,20 @@ def _rcm_loop(value, oracle, L, x0, h, criterion, max_iter, keep_iterates, metho
     g, each test of the four criteria reads 0 > 0 or 0 < 0, so none fires,
     and no coordinate changes sign, so none crosses.  Bits, not values, are
     compared so that a signed zero that would flip does not count as rest.
+
+    More generally, the future of a row depends only on its state: the bits
+    of x and v and the lag k - l, all of it for ``mmd-r`` and ``mmd-dr`` and
+    only whether k - l >= 1 for ``grad`` and ``kin``.  g is not part of it,
+    on the assumption that the oracle (and ``value``) is a function of the
+    bits of x.  The loop keeps one checkpoint of the state, row 0's at
+    first, replaced at rows 1, 2, 4, 8, ..., and compares each new row with
+    it, the f values first (R. P. Brent, BIT 20, 1980).  When row r
+    repeats the checkpoint of row c, the run is in a cycle of period
+    p = r - c: it computes (max_iter - r) mod p more rows, and every later
+    row, flags and iterates included, copies the row p before it.  So the
+    trace, and the final x and v, are those of the loop run to the end, and
+    a run that enters a cycle at row m computes its last row before row
+    2 max(m, p) + 2 p.
     """
     if criterion not in RESTART_CRITERIA:
         raise ValueError(f"unknown restart criterion {criterion!r}")
@@ -242,6 +268,10 @@ def _rcm_loop(value, oracle, L, x0, h, criterion, max_iter, keep_iterates, metho
     g = oracle(x)
     l = 0
     rec.add(value(x), math.sqrt(g.dot(g)), False, x, v, crossed)
+    # The lag k - l as far as the criterion reads it, for the cycle stop.
+    lag = (lambda d: d) if criterion.startswith("mmd") else (lambda d: d >= 1)
+    seen, seen_row = (rec.fvals[0], x.tobytes(), v.tobytes(), lag(0)), 0
+    period = end = None
 
     for k in range(max_iter):
         v_trial = v - h * g
@@ -264,11 +294,23 @@ def _rcm_loop(value, oracle, L, x0, h, criterion, max_iter, keep_iterates, metho
         # Without a crossing, x is the point g_new was evaluated at.
         g = oracle(x) if g_new is None or crossed else g_new
         rec.add(value(x), math.sqrt(g.dot(g)), fire, x, v, crossed)
-        # A state at rest repeats f; comparing f first keeps the array
-        # tests off nearly every other iteration.
-        if (rec.fvals[-1] == rec.fvals[-2] and not v.any()
+        # A state at rest, or one that repeats the checkpoint, repeats f;
+        # comparing f first keeps the array tests off nearly every other
+        # iteration.  The checkpoint moves to rows 1, 2, 4, 8, ...
+        f = rec.fvals[-1]
+        if (f == rec.fvals[-2] and not v.any()
                 and (v - h * g).tobytes() == v.tobytes() and (x + h * v).tobytes() == x.tobytes()):
             rec.fill(max_iter)
+            break
+        row = k + 1
+        if period is None:
+            if f == seen[0] and seen[1:] == (x.tobytes(), v.tobytes(), lag(row - l)):
+                period = row - seen_row
+                end = row + (max_iter - row) % period
+            elif row & k == 0:
+                seen, seen_row = (f, x.tobytes(), v.tobytes(), lag(row - l)), row
+        if row == end:
+            rec.fill(max_iter, period)
             break
 
     return rec.trace(x, v)
@@ -283,8 +325,10 @@ def rcm_run(obj: SmoothObjective, x0, h: float, criterion: str, max_iter: int, k
     trial with the step from rest x' = x - h^2 grad f(x), takes the new
     velocity -h grad f(x') from the gradient at the post-restart point, and
     resets the bookkeeping index l.  A run that comes to rest (v = 0 and
-    h grad f(x) = 0) repeats its state exactly from there, so its remaining
-    rows are copies written without oracle calls.
+    h grad f(x) = 0) repeats its state exactly from there, and so does one
+    whose state (x, v and the lag since the last restart) repeats an
+    earlier one bit for bit, with the period between them; the remaining
+    rows are then copies written without oracle calls (``_rcm_loop``).
     """
     return _rcm_loop(obj.value, obj.gradient, obj.lipschitz, x0, h, criterion, max_iter, keep_iterates,
                      f"rcm-{criterion}")

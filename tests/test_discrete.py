@@ -3,6 +3,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from consopt.composite import fista_restart_run, fista_run, prox_l1, rcm_comp_run, sign_crossing_projection
 from consopt.discrete import (
@@ -662,17 +664,136 @@ def test_at_rest_rows_are_copies_made_without_oracle_calls(runner, criterion):
 
 
 @pytest.mark.filterwarnings("ignore:h = 1 is outside the convergence range")
-@pytest.mark.parametrize("criterion", RESTART_CRITERIA)
-def test_zero_velocity_with_a_nonzero_step_is_not_at_rest(criterion):
+@pytest.mark.parametrize("criterion, stop", [("grad", 4), ("kin", 20), ("mmd-r", 20), ("mmd-dr", 6)])
+def test_zero_velocity_with_a_nonzero_step_is_not_at_rest(criterion, stop):
     # On f = x^2 - x at h = 1 the mmd-dr run returns to x = 1 with v = 0
-    # and f repeated at row 2, but h g = 1 there, so the run goes on.
+    # and f repeated at row 2, but h g = 1 there, so the run goes on.  The
+    # grad and mmd-dr runs then cycle with period 2 and stop at the cycle
+    # (rows 4 and 6); the kin and mmd-r runs grow without repeating.
     obj = quadratic_objective(np.array([[2.0]]), np.array([-1.0]))
     counted, calls = _counted(obj)
     trace = rcm_run(counted, np.zeros(1), 1.0, criterion, 20, keep_iterates=True)
     ref, calls_at_row = _rcm_loop_without_stop(obj.value, obj.gradient, np.zeros(1), 1.0, criterion, 20,
                                                f"rcm-{criterion}")
     assert _columns(trace) == _columns(ref)
-    assert calls[0] == calls_at_row[-1]
+    assert calls[0] == calls_at_row[stop] > calls_at_row[2]
+
+
+def _first_repeat(trace, criterion):
+    """(row, period) of the first row whose state, x and v with the lag
+    k - l as the criterion reads it, comes back later, or None."""
+    seen = {}
+    l = 0
+    for r in range(len(trace)):
+        if trace.crossings is not None and trace.crossings[r]:
+            l = r
+        elif trace.restarts[r]:
+            l = r - 1
+        lag = r - l if criterion.startswith("mmd") else r - l >= 1
+        key = (trace.xs[r].tobytes(), trace.vs[r].tobytes(), lag)
+        if key in seen:
+            return seen[key], r - seen[key]
+        seen[key] = r
+    return None
+
+
+def _cycle_stop_row(start, period, max_iter):
+    """The last computed row of a run whose state repeats with ``period``
+    from row ``start``: the checkpoint kept at power-of-two rows sits in
+    the cycle and is at least a period old at the first such row c, so the
+    cycle shows at row c + period, and the run goes on to the next row a
+    whole number of periods before max_iter."""
+    c = 1
+    while c < max(start, period):
+        c *= 2
+    return c + period + (max_iter - c - period) % period
+
+
+def _stopped_and_full(runner, criterion, instance, max_iter):
+    """A counted run of ``runner`` and the loop run to the end without
+    stops, on ``instance``: (trace, calls, reference, calls at each row)."""
+    if runner == "rcm_run":
+        obj, x0 = instance
+        counted, calls = _counted(obj)
+        h = 1.0 / np.sqrt(obj.lipschitz)
+        trace = rcm_run(counted, x0, h, criterion, max_iter, keep_iterates=True)
+        ref, calls_at_row = _rcm_loop_without_stop(obj.value, obj.gradient, x0, h, criterion, max_iter,
+                                                   f"rcm-{criterion}")
+    else:
+        f, x0 = instance
+        counted, calls = _counted(f.smooth)
+        h = 1.0 / np.sqrt(f.smooth.lipschitz)
+        trace = rcm_comp_run(replace(f, smooth=counted), x0, h, criterion, max_iter, keep_iterates=True)
+        ref, calls_at_row = _rcm_loop_without_stop(f.value, lambda x: minimal_norm_subgradient(f, x), x0, h,
+                                                   criterion, max_iter, f"rcm-comp-{criterion}",
+                                                   sign_crossing_projection)
+    return trace, calls[0], ref, calls_at_row
+
+
+@pytest.mark.parametrize("criterion", RESTART_CRITERIA)
+@pytest.mark.parametrize("runner", ["rcm_run", "rcm_comp_run"])
+def test_cycle_rows_are_copies_of_one_period(runner, criterion):
+    # Both instances end in exact cycles of period > 1 for every criterion:
+    # a 5-d quadratic near its minimum, where rounding closes the orbit
+    # (periods 3, 20, 15 and 3 from rows 44-82), and a 5-d l1-logistic
+    # instance (periods 9, 8, 14 and 9 from rows 37-69).  The runner stops
+    # calling the oracle at the cycle, and every column still matches the
+    # loop run to the end.
+    if runner == "rcm_run":
+        instance = gen_random_quadratic(5, 0.1, 4.0, 6), np.random.default_rng([6, 1]).standard_normal(5)
+    else:
+        instance = build_instance(ExperimentConfig(problem="logistic", l1=True, n=5, m=20, base_seed=11), 0)
+    max_iter = 300
+    trace, calls, ref, calls_at_row = _stopped_and_full(runner, criterion, instance, max_iter)
+    assert _columns(trace) == _columns(ref)
+    start, period = _first_repeat(ref, criterion)
+    assert period > 1
+    assert calls == calls_at_row[_cycle_stop_row(start, period, max_iter)] < calls_at_row[-1]
+
+
+def test_a_repeat_of_x_and_v_at_another_lag_is_not_a_cycle():
+    # An oracle given point by point (x elsewhere) takes the mmd-r run at
+    # h = 1 to x = 0, v = -1 by a restart at row 4 (lag 1) and again
+    # without one at row 8 (lag 2).  From row 8 the run does not restart
+    # where it did after row 4 (rows 11 and 7), since the mean-dissipation
+    # test reads the lag, so rows 5-8 are no period.  The whole state first
+    # repeats at rows 4 and 12, and the run stops at row 16, where the
+    # checkpoint of row 8 comes back.
+    table = {4.0: 1.0, 3.0: 1.0, 1.0: 0.5, -1.5: -1.5, 0.0: 1.0, -2.0: -4.625, 0.625: -0.375}
+    obj = SmoothObjective(value=lambda x: float(x.dot(x)), gradient=lambda x: np.array([table.get(x[0], x[0])]),
+                          lipschitz=1.0)
+    counted, calls = _counted(obj)
+    x0 = np.array([4.0])
+    trace = rcm_run(counted, x0, 1.0, "mmd-r", 40, keep_iterates=True)
+    ref, calls_at_row = _rcm_loop_without_stop(obj.value, obj.gradient, x0, 1.0, "mmd-r", 40, "rcm-mmd-r")
+    assert _columns(trace) == _columns(ref)
+    assert ref.xs[4].tobytes() == ref.xs[8].tobytes() and ref.vs[4].tobytes() == ref.vs[8].tobytes()
+    assert ref.restarts[4] and not ref.restarts[8] and ref.restarts[7] and not ref.restarts[11]
+    assert _first_repeat(ref, "mmd-r") == (4, 8) and _cycle_stop_row(4, 8, 40) == 16
+    assert calls[0] == calls_at_row[16]
+
+
+def test_cycle_stop_on_small_l1_instances():
+    # On l1-logistic instances with n = 3-8 and m = 4n, every run's columns
+    # match the loop run to the end, and a stopped run made exactly the
+    # calls the full loop had made by some row.  Among the examples, some
+    # runs stop at a cycle of period > 1.
+    periods = []
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 10_000), st.integers(3, 8), st.sampled_from(RESTART_CRITERIA))
+    def check(base_seed, n, criterion):
+        instance = build_instance(ExperimentConfig(problem="logistic", l1=True, n=n, m=4 * n, base_seed=base_seed),
+                                  0)
+        trace, calls, ref, calls_at_row = _stopped_and_full("rcm_comp_run", criterion, instance, 300)
+        assert _columns(trace) == _columns(ref)
+        assert calls in calls_at_row
+        repeat = _first_repeat(ref, criterion)
+        if calls < calls_at_row[-1] and repeat is not None:
+            periods.append(repeat[1])
+
+    check()
+    assert any(p > 1 for p in periods)
 
 
 class TestDivergenceBoundary:
