@@ -268,9 +268,14 @@ def _rcm_loop(value, oracle, L, x0, h, criterion, max_iter, keep_iterates, metho
     g = oracle(x)
     l = 0
     rec.add(value(x), math.sqrt(g.dot(g)), False, x, v, crossed)
-    # The lag k - l as far as the criterion reads it, for the cycle stop.
-    lag = (lambda d: d) if criterion.startswith("mmd") else (lambda d: d >= 1)
-    seen, seen_row = (rec.fvals[0], x.tobytes(), v.tobytes(), lag(0)), 0
+    reads_lag = criterion in ("mmd-r", "mmd-dr")
+
+    def state(x, v, lag):
+        """What fixes every later row: x and v bit for bit and the lag
+        k - l as far as the criterion reads it."""
+        return x.tobytes(), v.tobytes(), lag if reads_lag else lag >= 1
+
+    seen_f, seen, seen_row = rec.fvals[0], state(x, v, 0), 0
     period = end = None
 
     for k in range(max_iter):
@@ -304,11 +309,11 @@ def _rcm_loop(value, oracle, L, x0, h, criterion, max_iter, keep_iterates, metho
             break
         row = k + 1
         if period is None:
-            if f == seen[0] and seen[1:] == (x.tobytes(), v.tobytes(), lag(row - l)):
+            if f == seen_f and state(x, v, row - l) == seen:
                 period = row - seen_row
                 end = row + (max_iter - row) % period
             elif row & k == 0:
-                seen, seen_row = (f, x.tobytes(), v.tobytes(), lag(row - l)), row
+                seen_f, seen, seen_row = f, state(x, v, row - l), row
         if row == end:
             rec.fill(max_iter, period)
             break
