@@ -21,7 +21,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from consopt.composite import rcm_comp_run
+from consopt.composite import fista_restart_run, fista_run, rcm_comp_run
 from consopt.continuous import (
     integrate_conservative,
     kinetic_energy_maxima,
@@ -52,6 +52,7 @@ GOLDEN = {
     "csv-logistic-l1": "85d4343629b0bafad3637ba0798116639270f3007515064d6c8bd9e411634716",
     "csv-logsumexp": "1efc48e33da9c8549f81f57164c00fdf3838df9b410bff3da9ed1e54865cc920",
     "csv-logsumexp-l1": "a94bcccd56b6de6b2fb86d57a548e91b65502e78110e9c8cd9930fb535850f2f",
+    "fista-restart-cycles": "111d165ac6405a7be1a75495405be2151b1fd1bfcf27f8e83d9a9bb3cc3f7114",
     "integrate-conservative": "e88c19747ea44466a9c59cd8fac2b429f901ede9e8e15a9dcd8e077e304ac2fd",
     "kinetic-energy-maxima": "527551dca9a6f133e9531d9d65bb7ecd59bf6394599d98ed04d66f47bf3989e1",
     "nesterov-traces": "022402632018302dd8c5cd15dc9ef914a2ad737a4969f6e90a81084638da1821",
@@ -181,6 +182,21 @@ def _rcm_comp_cycles():
     return _sha(*[c for t in traces for c in _trace_bytes(t)])
 
 
+def _fista_restart_cycles():
+    """FISTA with and without the restart, iterates kept, on three
+    l1-logistic instances of the logistic-l1 benchmark (base seeds 10012,
+    10055 and 10056; n = 50, m = 200, max_iter = 1000).  With the restart
+    the (x, y, t) state repeats exactly with periods 14, 209 and 37 from
+    rows 62, 114 and 493; without it, the runs reach an exact fixed point
+    or run to the end."""
+    traces = []
+    for base_seed in (10012, 10055, 10056):
+        f, x0 = build_instance(ExperimentConfig(problem="logistic", l1=True, n=50, m=200, base_seed=base_seed), 0)
+        s = 1.0 / f.smooth.lipschitz
+        traces += [run(f, x0, s, 1000, keep_iterates=True) for run in (fista_restart_run, fista_run)]
+    return _sha(*[c for t in traces for c in _trace_bytes(t)])
+
+
 def _nesterov_traces():
     traces = []
     for seed in (7, 8, 9):
@@ -289,6 +305,7 @@ def test_golden_digest(name, tmp_path):
         digest = _bench_flow()
     else:
         digest = {
+            "fista-restart-cycles": _fista_restart_cycles,
             "integrate-conservative": _integrate_conservative,
             "kinetic-energy-maxima": _kinetic_energy_maxima,
             "nesterov-traces": _nesterov_traces,
