@@ -72,11 +72,8 @@ def rcm_comp_run(f: CompositeObjective, x0, h: float, criterion: str, max_iter: 
     is projected, and the trace equals the smooth run on ``f.smooth`` plus
     a ``crossings`` column of False.
 
-    A run that comes to rest, or whose state (x, v and the lag since the
-    last restart or crossing) repeats an earlier one bit for bit, writes
-    its remaining rows as copies of the period without oracle calls, as
-    ``rcm_run`` does; sign crossings make such cycles common on l1
-    problems.
+    As in ``rcm_run``, rows after a rest or a repeat of the state are
+    copies made without oracle calls; crossings make cycles common here.
     """
     project = sign_crossing_projection if f.l1_weight > 0.0 else lambda x_old, x_new: (x_new, False)
     return _rcm_loop(f.value, lambda x: minimal_norm_subgradient(f, x), f.smooth.lipschitz, x0, h, criterion,
@@ -98,7 +95,8 @@ def fista_restart_run(f: CompositeObjective, x0, s: float, max_iter: int, keep_i
     """FISTA with the adaptive gradient restart.
 
     When (y_k - x_k) . (x_k - x_{k-1}) > 0 the momentum is discarded:
-    t resets to 1 and y to x_k.
+    t resets to 1 and y to x_k.  A run whose (x, y, t) state repeats
+    exactly stops computing at the cycle and copies its period (``_fista``).
     """
     return _fista(f, x0, s, max_iter, restart=True, keep_iterates=keep_iterates, stop=_stop)
 
@@ -106,13 +104,15 @@ def fista_restart_run(f: CompositeObjective, x0, s: float, max_iter: int, keep_i
 def _fista(f, x0, s, max_iter, restart, keep_iterates, stop=None):
     """The FISTA loop, with or without the adaptive restart.
 
-    Once a prox step returns its previous iterate from a y equal to that
-    iterate (compared by value), the restart test cannot fire and every
-    later iteration repeats it exactly, so the remaining rows are written
-    as copies of the last one without further oracle calls.  ``stop(x, f)``,
-    when given, sees every later iterate and its value, and the run ends,
-    without filling its remaining rows, at the first one where it returns
-    True.
+    x, y and t fix every later row, so the recorder copies the rows after a
+    cycle of their bits (``discrete._Recorder``); without the restart t
+    grows and never comes back.  It also copies a fixed point, where a prox
+    step returns its iterate from a y equal to it (by value) and the
+    restart cannot fire.  ``stop(x, f)`` sees every later computed iterate
+    and its value, and the run ends unfilled where it returns True.  A
+    cycle is filled as any run: ``stop`` has seen its period (x0 aside, the
+    value of row 0), so a running min or max such as the f* reference's
+    dual-gap test is final.
     """
     method = "fista-restart" if restart else "fista"
     _check_step(s, f.smooth.lipschitz, method, stacklevel=4)
@@ -122,7 +122,14 @@ def _fista(f, x0, s, max_iter, restart, keep_iterates, stop=None):
     x = np.array(x0, dtype=float)
     y = x.copy()
     t = 1.0
-    rec = _Recorder(method, s, keep_iterates)
+
+    def fixed_point():
+        return not dx.any() and np.array_equal(y_prev, x_prev)
+
+    def state(row):
+        return x.tobytes(), y.tobytes(), t
+
+    rec = _Recorder(method, s, keep_iterates, max_iter, fixed_point, state)
     d0 = minimal_norm_subgradient(f, x)
     rec.add(f.value(x), math.sqrt(d0.dot(d0)), False, x)
 
@@ -139,13 +146,7 @@ def _fista(f, x0, s, max_iter, restart, keep_iterates, stop=None):
             y = x + ((t - 1.0) / t_next) * dx
             t = t_next
         d = minimal_norm_subgradient(f, x)
-        rec.add(f.value(x), math.sqrt(d.dot(d)), fire, x)
-        # A fixed state repeats f; comparing f first keeps the array tests
-        # off nearly every other iteration.
-        if rec.fvals[-1] == rec.fvals[-2] and not dx.any() and np.array_equal(y_prev, x_prev):
-            rec.fill(max_iter)
-            break
-        if stop is not None and stop(x, rec.fvals[-1]):
+        if rec.add(f.value(x), math.sqrt(d.dot(d)), fire, x) or (stop is not None and stop(x, rec.fvals[-1])):
             break
 
     return rec.trace(x)

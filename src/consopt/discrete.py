@@ -10,9 +10,9 @@ accelerated methods used as baselines.
 Every run is deterministic given its inputs, never mutates the objective,
 and records one trace row per iteration plus the starting point.  A run
 whose state comes back bit for bit, at a fixed point or, for the
-conservative loop, in a cycle of any period, writes its remaining rows as
-copies without further oracle calls; this takes the oracle to be a
-function of the bits of its point.
+conservative loop and FISTA-restart, in a cycle of any period, writes its
+remaining rows as copies without further oracle calls (``_Recorder``);
+this takes the oracle to be a function of the bits of its point.
 """
 
 from __future__ import annotations
@@ -93,18 +93,31 @@ class Trace:
 
 
 class _Recorder:
-    """Rows of one run.  ``add`` appends a row and aborts the run with a
-    DivergenceError carrying the rows so far when the row's value or
-    residual is non-finite or beyond DIVERGENCE_LIMIT.
+    """Rows of one run, and the one place that decides when the rest of
+    them are copied instead of computed.
 
-    The ``crossings`` column exists only when the runner passes ``crossed``
-    to ``add``, and the velocity history only when it passes ``v``.
-    Runners pass the residual as ``math.sqrt(g.dot(g))``, bit for bit what
-    ``np.linalg.norm`` computes for a real vector, at a fraction of its
-    call cost.
+    ``add`` appends a row and aborts the run with a DivergenceError carrying
+    the rows so far when the row's value or residual is non-finite or beyond
+    DIVERGENCE_LIMIT.  The ``crossings`` column exists only when the runner
+    passes ``crossed``, and the velocity history only when it passes ``v``.
+    Runners pass the residual as ``math.sqrt(g.dot(g))``, bit for bit
+    ``np.linalg.norm`` of a real vector, at a fraction of its call cost.
+
+    A runner that passes ``max_iter`` states its loop's facts once per
+    run: ``fixed_point()``, true when every later row repeats the last one
+    with no restart or crossing, and, if the loop can cycle, ``state(row)``,
+    the bits that fix every row after ``row``, taking the oracle and the
+    value to be functions of the bits of x.  The state is checkpointed at
+    rows 0, 1, 2, 4, 8, ... and compared with each later row of the same f
+    (R. P. Brent, BIT 20, 1980).  When row r repeats row c's, the run is in
+    a cycle of period p = r - c: it computes (max_iter - r) mod p more rows,
+    and ``add`` returns True once it has copied the last period up to
+    ``max_iter``, flags and iterates included.  So the trace and the final
+    state are those of the loop run to the end, and a run entering a cycle
+    at row m computes its last row before row 2 max(m, p) + 2 p.
     """
 
-    def __init__(self, method, step, keep_iterates):
+    def __init__(self, method, step, keep_iterates, max_iter=None, fixed_point=lambda: False, state=None):
         self.method = method
         self.step = step
         self.fvals = []
@@ -113,9 +126,18 @@ class _Recorder:
         self.crossings = []
         self.xs = [] if keep_iterates else None
         self.vs = []
+        self.max_iter = max_iter
+        self._fixed_point = fixed_point
+        self._state = state
+        # Only a row repeating the last f or the checkpoint's, or the row
+        # _mark - 1 (the next checkpoint, then the last to compute), can stop.
+        self._last_f = self._seen_f = math.nan
+        self._seen = self._seen_row = self._period = None
+        self._mark = 1 if state is not None else 0
 
     def add(self, fval, resid, fired, x, v=None, crossed=None):
-        self.fvals.append(fval)
+        fvals = self.fvals
+        fvals.append(fval)
         self.residuals.append(resid)
         self.restarts.append(fired)
         if crossed is not None:
@@ -127,23 +149,36 @@ class _Recorder:
         # |f| <= limit and -inf < residual <= limit; NaN fails every test.
         if not abs(fval) <= DIVERGENCE_LIMIT >= resid > -math.inf:
             raise DivergenceError(
-                f"{self.method}: diverged at iteration {len(self.fvals) - 1} (f = {fval:g}, residual = {resid:g})",
+                f"{self.method}: diverged at iteration {len(fvals) - 1} (f = {fval:g}, residual = {resid:g})",
                 partial_trace=self.trace(x, v),
             )
+        if fval != self._last_f and fval != self._seen_f and len(fvals) != self._mark:
+            self._last_f = fval
+            return False
+        last, self._last_f = self._last_f, fval
+        row = len(fvals) - 1
+        if fval == last and self._fixed_point():
+            self._fill()
+            return True
+        if self._period is None:
+            if fval == self._seen_f and self._state(row) == self._seen:
+                self._period = row - self._seen_row
+                self._mark = row + (self.max_iter - row) % self._period + 1
+            elif row + 1 == self._mark:
+                self._seen_f, self._seen, self._seen_row = fval, self._state(row), row
+                self._mark = (2 * row or 1) + 1
+        if self._period is not None and row + 1 == self._mark:
+            self._fill(self._period)
+            return True
+        return False
 
-    def fill(self, max_iter, period=None):
-        """Write the rows up to ``max_iter`` without computing them.
-
-        Without ``period`` the run's state no longer changes: every later
-        row repeats the last one's value, residual and iterates, with no
-        restart and no crossing.  With it, the last ``period`` rows are one
-        period of an exact cycle, and the rows still to come, a multiple of
-        ``period``, repeat them column by column, flags included."""
-        n = max_iter + 1 - len(self.fvals)
+    def _fill(self, period=None):
+        """Write the rows up to ``max_iter`` as copies: of the last row,
+        with no restart or crossing whatever the step into it did, or of
+        the last ``period`` rows, column by column and flags included."""
+        n = self.max_iter + 1 - len(self.fvals)
         columns = [self.fvals, self.residuals, self.xs, self.vs]
         if period is None:
-            # A fixed point neither restarts nor crosses, whatever the step
-            # into it did.
             period = 1
             self.restarts.extend([False] * n)
             if self.crossings:
@@ -224,27 +259,13 @@ def _rcm_loop(value, oracle, L, x0, h, criterion, max_iter, keep_iterates, metho
     crossing zeroes the whole velocity and moves the bookkeeping index l to
     k + 1, and the trace records a ``crossings`` column.
 
-    Once a row is at rest, v = 0 and a trial step v - h g, x + h v that
-    reproduces v and x bit for bit, every later iteration repeats it
-    exactly, so the remaining rows are written as copies of it without
-    further oracle calls: the oracle sees the same x and returns the same
-    g, each test of the four criteria reads 0 > 0 or 0 < 0, so none fires,
-    and no coordinate changes sign, so none crosses.  Bits, not values, are
-    compared so that a signed zero that would flip does not count as rest.
-
-    More generally, the future of a row depends only on its state: the bits
-    of x and v and the lag k - l, all of it for ``mmd-r`` and ``mmd-dr`` and
-    only whether k - l >= 1 for ``grad`` and ``kin``.  g is not part of it,
-    on the assumption that the oracle (and ``value``) is a function of the
-    bits of x.  The loop keeps one checkpoint of the state, row 0's at
-    first, replaced at rows 1, 2, 4, 8, ..., and compares each new row with
-    it, the f values first (R. P. Brent, BIT 20, 1980).  When row r
-    repeats the checkpoint of row c, the run is in a cycle of period
-    p = r - c: it computes (max_iter - r) mod p more rows, and every later
-    row, flags and iterates included, copies the row p before it.  So the
-    trace, and the final x and v, are those of the loop run to the end, and
-    a run that enters a cycle at row m computes its last row before row
-    2 max(m, p) + 2 p.
+    A row's state, the bits of x and v and the lag k - l (only whether
+    k - l >= 1 for ``grad`` and ``kin``), fixes every later row, so the
+    recorder copies the rows after a cycle of it (``_Recorder``), and after
+    a row at rest: v = 0 and a trial step v - h g, x + h v that reproduces
+    v and x bit for bit, where no criterion fires (each reads 0 > 0 or
+    0 < 0) and no coordinate changes sign.  Bits, not values, are compared
+    so that a signed zero that would flip does not count as rest.
     """
     if criterion not in RESTART_CRITERIA:
         raise ValueError(f"unknown restart criterion {criterion!r}")
@@ -258,8 +279,15 @@ def _rcm_loop(value, oracle, L, x0, h, criterion, max_iter, keep_iterates, metho
         )
     needs_trial = criterion in ("grad", "mmd-dr")
     crossed = None if project is None else False
+    reads_lag = criterion in ("mmd-r", "mmd-dr")
 
-    rec = _Recorder(method, h, keep_iterates)
+    def at_rest():
+        return not v.any() and (v - h * g).tobytes() == v.tobytes() and (x + h * v).tobytes() == x.tobytes()
+
+    def state(row):
+        return x.tobytes(), v.tobytes(), row - l if reads_lag else row - l >= 1
+
+    rec = _Recorder(method, h, keep_iterates, max_iter, at_rest, state)
     # h, -h and h^2 enter the products as 0-d float64 arrays: the same IEEE
     # products as Python floats, at less of NumPy's dispatch cost.
     h, minus_h, h2 = (np.array(c, dtype=float) for c in (h, -h, h * h))
@@ -268,15 +296,6 @@ def _rcm_loop(value, oracle, L, x0, h, criterion, max_iter, keep_iterates, metho
     g = oracle(x)
     l = 0
     rec.add(value(x), math.sqrt(g.dot(g)), False, x, v, crossed)
-    reads_lag = criterion in ("mmd-r", "mmd-dr")
-
-    def state(x, v, lag):
-        """What fixes every later row: x and v bit for bit and the lag
-        k - l as far as the criterion reads it."""
-        return x.tobytes(), v.tobytes(), lag if reads_lag else lag >= 1
-
-    seen_f, seen, seen_row = rec.fvals[0], state(x, v, 0), 0
-    period = end = None
 
     for k in range(max_iter):
         v_trial = v - h * g
@@ -298,24 +317,7 @@ def _rcm_loop(value, oracle, L, x0, h, criterion, max_iter, keep_iterates, metho
         x, v = x_new, v_new
         # Without a crossing, x is the point g_new was evaluated at.
         g = oracle(x) if g_new is None or crossed else g_new
-        rec.add(value(x), math.sqrt(g.dot(g)), fire, x, v, crossed)
-        # A state at rest, or one that repeats the checkpoint, repeats f;
-        # comparing f first keeps the array tests off nearly every other
-        # iteration.  The checkpoint moves to rows 1, 2, 4, 8, ...
-        f = rec.fvals[-1]
-        if (f == rec.fvals[-2] and not v.any()
-                and (v - h * g).tobytes() == v.tobytes() and (x + h * v).tobytes() == x.tobytes()):
-            rec.fill(max_iter)
-            break
-        row = k + 1
-        if period is None:
-            if f == seen_f and state(x, v, row - l) == seen:
-                period = row - seen_row
-                end = row + (max_iter - row) % period
-            elif row & k == 0:
-                seen_f, seen, seen_row = f, state(x, v, row - l), row
-        if row == end:
-            rec.fill(max_iter, period)
+        if rec.add(value(x), math.sqrt(g.dot(g)), fire, x, v, crossed):
             break
 
     return rec.trace(x, v)
@@ -329,11 +331,8 @@ def rcm_run(obj: SmoothObjective, x0, h: float, criterion: str, max_iter: int, k
     step and queries the restart criterion.  On a restart it replaces the
     trial with the step from rest x' = x - h^2 grad f(x), takes the new
     velocity -h grad f(x') from the gradient at the post-restart point, and
-    resets the bookkeeping index l.  A run that comes to rest (v = 0 and
-    h grad f(x) = 0) repeats its state exactly from there, and so does one
-    whose state (x, v and the lag since the last restart) repeats an
-    earlier one bit for bit, with the period between them; the remaining
-    rows are then copies written without oracle calls (``_rcm_loop``).
+    resets the bookkeeping index l.  The rows after a rest or an exact
+    repeat of the state are copies made without oracle calls.
     """
     return _rcm_loop(obj.value, obj.gradient, obj.lipschitz, x0, h, criterion, max_iter, keep_iterates,
                      f"rcm-{criterion}")
@@ -367,15 +366,20 @@ def _momentum_run(obj, x0, s, momentum, max_iter, keep_iterates, method, restart
 
     Once an iteration leaves both x and y unchanged (compared by value), it
     cannot restart and every later iteration repeats it exactly, so the
-    remaining rows are written as copies of the last one without further
-    oracle calls.
+    recorder copies it without further oracle calls.  No ``nag-c-restart``,
+    ``nag-sc`` or ``nag-sc-under`` run on 20 quad-smooth-shaped instances
+    repeated (x, y, j) otherwise, so no state is tested.
     """
     grad, fval = obj.gradient, obj.value
     x = np.array(x0, dtype=float)
     y = x.copy()
     g = grad(x)
     j = 0
-    rec = _Recorder(method, s, keep_iterates)
+
+    def fixed_point():
+        return not dy.any() and np.array_equal(x, x_old)
+
+    rec = _Recorder(method, s, keep_iterates, max_iter, fixed_point)
     rec.add(fval(x), math.sqrt(g.dot(g)), False, x)
     step = np.array(s, dtype=float)  # a 0-d operand, as in _rcm_loop
     for _ in range(max_iter):
@@ -394,11 +398,7 @@ def _momentum_run(obj, x0, s, momentum, max_iter, keep_iterates, method, restart
             j = 0
         else:
             j += 1
-        rec.add(fval(x), math.sqrt(g.dot(g)), fire, x)
-        # A fixed state repeats f; comparing f first keeps the array tests
-        # off nearly every other iteration.
-        if rec.fvals[-1] == rec.fvals[-2] and not dy.any() and np.array_equal(x, x_old):
-            rec.fill(max_iter)
+        if rec.add(fval(x), math.sqrt(g.dot(g)), fire, x):
             break
     return rec.trace(x)
 

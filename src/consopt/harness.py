@@ -312,9 +312,8 @@ def estimate_fstar(obj, x0, budget: int) -> float:
     criterion-08 families.  The default smooth logistic and log-sum-exp
     families (m = 2n) clip far more: most draws there are separable or
     unbounded below, with no minimum (ROADMAP.md, open item 1).  A
-    reference run that reaches an exact fixed point writes its remaining
-    rows as copies of the last one, without oracle calls, so it costs only
-    the iterations up to that point.
+    reference run stops computing at an exact fixed point or, for
+    FISTA-restart, once an exact cycle of its state has shown.
     """
     if isinstance(obj, QuadraticObjective):
         return _quadratic_min_value(obj)

@@ -796,6 +796,32 @@ def test_cycle_stop_on_small_l1_instances():
     assert any(p > 1 for p in periods)
 
 
+@pytest.mark.parametrize("base_seed, start, period, restart_calls, fista_calls", [
+    (10012, 62, 14, 181, 413), (10055, 114, 209, 1165, 687), (10056, 493, 37, 1113, 2001),
+])
+def test_fista_restart_cycle_rows_are_copies_of_one_period(base_seed, start, period, restart_calls, fista_calls):
+    # On these instances of the logistic-l1 benchmark FISTA-restart's
+    # (x, y, t) state repeats with the given period from row ``start``, so
+    # the run stops calling the oracle at the cycle, making the calls of the
+    # full loop at that row: one gradient for the step and one inside the
+    # subgradient per row, after row 0's one.  Plain FISTA, whose t grows,
+    # makes the calls it makes without the cycle stop.  Every column of
+    # both matches the loop run to the end.
+    f, x0 = build_instance(ExperimentConfig(problem="logistic", l1=True, n=50, m=200, base_seed=base_seed), 0)
+    s, max_iter = 1.0 / f.smooth.lipschitz, 1000
+    assert restart_calls == 1 + 2 * _cycle_stop_row(start, period, max_iter)
+    for run, expected in ((fista_restart_run, restart_calls), (fista_run, fista_calls)):
+        counted, calls = _counted(f.smooth)
+        trace = run(replace(f, smooth=counted), x0, s, max_iter, keep_iterates=True)
+        fvals, residuals, restarts, xs = zip(*_plain_fista(f, x0, s, max_iter, restart=run is fista_restart_run))
+        assert trace.fvals.tobytes() == np.array(fvals).tobytes()
+        assert trace.residuals.tobytes() == np.array(residuals).tobytes()
+        assert np.array_equal(trace.restarts, restarts)
+        assert trace.xs.tobytes() == np.array(xs).tobytes()
+        assert trace.x.tobytes() == xs[-1].tobytes()
+        assert calls[0] == expected
+
+
 class TestDivergenceBoundary:
     """Which rows make ``_Recorder.add`` abort the run: |f| or the residual
     beyond DIVERGENCE_LIMIT, or either one NaN or infinite."""
