@@ -14,8 +14,10 @@ the predicate turns true between two nodes, and bisects that bracket with
 the same predicate on cubic Hermite interpolants of (x, v), evaluating the
 gradient exactly at the interpolated point.  The first-event functions and
 every segment of the piecewise flow run through one segment helper, which
-sets the cap, runs the scan and builds the event.  Theoretical bounds are
-structured reports {bound_name, lhs, rhs, slack, pass}.
+runs the scan to the flow's cap, decided once before any oracle call, or
+else to a cap it bootstraps from f_star, which must lie below f at the
+segment start, and builds the event.  Theoretical bounds are structured
+reports {bound_name, lhs, rhs, slack, pass}.
 
 The scan takes its per-step dots and norms with ``ndarray.dot``, not ``@``
 or ``np.linalg.norm``, and carries them as Python floats: the same BLAS
@@ -138,28 +140,25 @@ def default_time_step(obj: SmoothObjective) -> float:
 
 def _check_positive(name: str, value: float) -> float:
     """``value`` as a Python float, for the scan's clock (see the module
-    docstring), or ValueError naming it when it is not positive and finite
-    (zero, negative, NaN or infinite)."""
+    docstring), or ValueError naming it unless it is positive and finite."""
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite")
     return float(value)
 
 
+def _time_step(obj: SmoothObjective, dt) -> float:
+    """``dt`` checked by ``_check_positive``, ``default_time_step`` if None."""
+    return default_time_step(obj) if dt is None else _check_positive("dt", dt)
+
+
 def _step_count(name: str, span: float, dt: float) -> int:
-    """Number of Verlet steps of size ``dt`` that cover ``span``, or
-    ValueError naming it when span / dt overflows."""
-    steps = float(span) / float(dt)
+    """Number of Verlet steps of size ``dt`` that cover ``span``, the check
+    of every span a scan covers: ValueError naming it unless the span is
+    positive and finite and span / dt does not overflow."""
+    steps = _check_positive(name, span) / dt
     if steps == math.inf:
         raise ValueError(f"{name} / dt overflows: {name} = {span:g}, dt = {dt:g}")
     return math.ceil(steps)
-
-
-def _check_cap_source(cap, t_r, f_star) -> None:
-    """ValueError unless a scan can be capped: by ``cap``, by the
-    restart-time bound ``t_r`` or through ``f_star``."""
-    if cap is None and t_r is None and f_star is None:
-        raise ValueError("objective has no strong convexity constant: pass f_star (for the "
-                         "coercive-function cap) or an explicit cap")
 
 
 def _check_record_every(record_every) -> None:
@@ -187,10 +186,20 @@ def curve_length_bound(mu: float, L: float, t_r: float, gap0: float) -> float:
     return 4.0 * np.sqrt(2.0) * (L / mu) * t_r * np.sqrt(gap0)
 
 
-def _strong_upper_bound(obj: SmoothObjective) -> Optional[float]:
-    """``restart_time_upper_bound`` of a strongly convex ``obj``, else None."""
-    mu = obj.strong_convexity
-    return None if mu is None else restart_time_upper_bound(mu, obj.lipschitz)
+def _flow_cap(obj: SmoothObjective, dt, cap, has_f_star: bool):
+    """A flow's (dt, cap), decided before any oracle call: dt through
+    ``_time_step``; ``cap``, else twice ``restart_time_upper_bound`` of a
+    strongly convex ``obj``, checked by ``_step_count``; else None, for each
+    segment to bootstrap its own from f_star, and ValueError without one."""
+    dt = _time_step(obj, dt)
+    if cap is None and obj.strong_convexity is not None:
+        cap = 2.0 * restart_time_upper_bound(obj.strong_convexity, obj.lipschitz)
+    if cap is not None:
+        _step_count("cap", cap, dt)
+    elif not has_f_star:
+        raise ValueError("objective has no strong convexity constant: pass f_star (for the "
+                         "coercive-function cap) or an explicit cap")
+    return dt, cap
 
 
 # -- cubic Hermite interpolation ----------------------------------------------
@@ -290,7 +299,7 @@ def integrate_conservative(
     """
     dt = _check_positive("dt", dt)
     _check_record_every(record_every)
-    if T <= dt:
+    if not T > dt:
         raise ValueError("T must exceed dt")
     n_steps = _step_count("T", T, dt)
     nodes = _verlet(obj.gradient, x0, v0, dt, n_steps)
@@ -395,22 +404,20 @@ def _event_from_state(obj, state, arc, t_offset=0.0) -> RestartEvent:
     )
 
 
-def _segment(obj, x0, g0, f0, dt, cap, t_r, f_star, after, samples=None, stride=1, t_offset=0.0,
-             value=_no_value):
+def _segment(obj, x0, g0, f0, dt, cap, f_star, after, samples=None, stride=1, t_offset=0.0, value=_no_value):
     """First event of the rule ``after`` on the flow from rest at x0, with
     g0 = grad f(x0), on a segment that starts at ``t_offset``.
 
-    The scan stops at ``cap`` when given, else at twice the restart-time
-    bound ``t_r`` (None unless strongly convex), else at the finite-restart
-    cap bootstrapped from 16 Verlet steps and the gap f0 - ``f_star``, with
-    f0 = f(x0) (only read there); a cap whose step count overflows raises
-    ValueError.  ``samples``, ``stride`` and ``value`` are passed to the
-    scan.  Returns (event, grad f at the event, cap), or (None, None, cap)
-    at the cap.
+    The scan stops at ``cap``, the flow's from ``_flow_cap``, or if None at
+    the finite-restart cap bootstrapped from 16 Verlet steps and the gap
+    f0 - ``f_star``, with f0 = f(x0) (only read here), which must be
+    positive and finite.  ``samples``, ``stride`` and ``value`` are passed
+    to the scan.  Returns (event, grad f at the event, cap), or (None,
+    None, cap) at the cap.
     """
-    if cap is None and t_r is not None:
-        cap = 2.0 * t_r
-    elif cap is None:
+    if cap is None:
+        if not 0.0 < f0 - f_star < math.inf:
+            raise ValueError(f"f_star = {f_star:g} must lie below f = {f0:g} at the segment start")
         for _, t1, _, _, _, vv1 in _verlet(obj.gradient, x0, np.zeros_like(g0), dt, 16, g0):
             pass
         ek1 = 0.5 * vv1
@@ -427,18 +434,13 @@ def _segment(obj, x0, g0, f0, dt, cap, t_r, f_star, after, samples=None, stride=
 def _first_event(obj, x0, dt, cap, f_star, after):
     """First event of the rule ``after`` on the flow from rest at x0, or
     None when the scan reaches the cap; also returns the cap."""
-    dt = default_time_step(obj) if dt is None else _check_positive("dt", dt)
-    if cap is not None:
-        _step_count("cap", _check_positive("cap", cap), dt)
+    dt, cap = _flow_cap(obj, dt, cap, f_star is not None)
     x0 = np.asarray(x0, dtype=float)
-    t_r = _strong_upper_bound(obj)
-    _check_cap_source(cap, t_r, f_star)
     g0 = obj.gradient(x0)
     if math.sqrt(g0.dot(g0)) == 0.0:
         raise ValueError("grad f(x0) = 0: the flow from rest is stationary")
-    # only the coercive cap reads f(x0), served by g0's product
-    f0 = obj.value(x0) if cap is None and t_r is None else None
-    event, _, cap = _segment(obj, x0, g0, f0, dt, cap, t_r, f_star, after)
+    # only the bootstrapped cap reads f(x0), served by g0's product
+    event, _, cap = _segment(obj, x0, g0, obj.value(x0) if cap is None else None, dt, cap, f_star, after)
     return event, cap
 
 
@@ -453,11 +455,11 @@ def mmd_restart_time(
 
     Integrates the conservative flow from x0 at rest and returns the first
     instant where t*dE_K/dt - E_K turns negative, bisection-refined on
-    interpolated states.  For strongly convex objectives the search is capped
-    at twice the uniform bound 32 L / (mu sqrt(mu)); otherwise a cap is
-    derived from ``f_star`` via :func:`finite_restart_cap` (or supplied
-    explicitly).  Failing to find the event within the cap raises, since it
-    would contradict the restart-time bound.
+    interpolated states.  The search is capped at ``cap``, else for strongly
+    convex objectives at twice the uniform bound 32 L / (mu sqrt(mu)), else
+    by :func:`finite_restart_cap` from the gap f(x0) - ``f_star``, which
+    must be positive and finite.  Failing to find the event within the cap
+    raises, since it would contradict the restart-time bound.
     """
     event, cap = _first_event(obj, x0, dt, cap, f_star, _mmd_after)
     if event is None:
@@ -495,8 +497,7 @@ def kinetic_energy_maxima(
     Used to check that a kinetic-energy maximum is never a mean-dissipation
     maximum: at each returned event t*dE_K/dt - E_K = -E_K < 0.
     """
-    _check_positive("horizon", horizon)
-    dt = default_time_step(obj) if dt is None else _check_positive("dt", dt)
+    dt = _time_step(obj, dt)
     events = _scan_from_rest(obj, x0, None, dt, _step_count("horizon", horizon, dt), _kin_after)
     return [_event_from_state(obj, state, np.nan) for state, _ in events]
 
@@ -521,18 +522,16 @@ def run_piecewise_conservative(
     that need mu or f* are emitted only when those are available (f* is
     computed exactly for quadratics when not supplied).
     """
-    dt = default_time_step(obj) if dt is None else _check_positive("dt", dt)
+    exact_f_star = f_star is None and isinstance(obj, QuadraticObjective)
+    dt, cap = _flow_cap(obj, dt, cap, f_star is not None or exact_f_star)
     _check_record_every(record_every)
     if not isinstance(n_restarts, (int, np.integer)) or n_restarts < 0:
         raise ValueError("n_restarts must be a non-negative integer")
-    if cap is not None:
-        _step_count("cap", _check_positive("cap", cap), dt)
     x0 = np.asarray(x0, dtype=float)
-    if f_star is None and isinstance(obj, QuadraticObjective):
+    if exact_f_star:
         f_star = _quadratic_min_value(obj)
     mu, L = obj.strong_convexity, obj.lipschitz
-    t_r = _strong_upper_bound(obj)
-    _check_cap_source(cap, t_r, f_star)
+    t_r = None if mu is None else restart_time_upper_bound(mu, L)
     # objective_rate needs f at every sample; the scan takes it right after
     # the gradient at the same point, which the oracle's product serves.
     rate = t_r is not None and f_star is not None
@@ -552,8 +551,8 @@ def run_piecewise_conservative(
     for seg in range(n_restarts):
         if math.sqrt(g.dot(g)) <= grad_floor:
             break
-        event, g, seg_cap = _segment(obj, x, g, f_prev, dt, cap, t_r, f_star, _mmd_after, samples, record_every,
-                                     t_abs, sample_value)
+        event, g, seg_cap = _segment(obj, x, g, f_prev, dt, cap, f_star, _mmd_after, samples, record_every, t_abs,
+                                     sample_value)
         if event is None:
             raise RuntimeError(f"segment {seg}: no restart within the cap {seg_cap:g}")
         t_abs = event.time_abs
@@ -673,15 +672,13 @@ def small_time_energy_check(obj: SmoothObjective, x0, dt: Optional[float] = None
     mu = obj.strong_convexity
     if mu is None:
         raise ValueError("small-time sandwich requires a strong convexity constant")
-    L = obj.lipschitz
+    dt = _time_step(obj, dt)
     x0 = np.asarray(x0, dtype=float)
     g0 = obj.gradient(x0)
     gsq = float(g0.dot(g0))
     if gsq == 0.0:
         return {"bound_name": "kinetic_energy_small_time", "status": "degenerate", "pass": True}
-    if dt is None:
-        dt = default_time_step(obj)
-    T = np.sqrt(mu) / (2.0 * L)
+    T = np.sqrt(mu) / (2.0 * obj.lipschitz)
     dt = min(dt, T / 25)
     traj = integrate_conservative(obj, x0, np.zeros_like(x0), dt, T)
     ts = traj.times[1:]

@@ -95,6 +95,15 @@ class TestIntegrator:
         d2 = integrate_conservative(obj, x0, np.zeros(6), 1e-3, 5.0).energy_drift
         assert d1 / d2 == pytest.approx(4.0, rel=0.25)
 
+    @pytest.mark.parametrize("T, message", [
+        (0.01, "T must exceed dt"), (-1.0, "T must exceed dt"), (np.nan, "T must exceed dt"),
+        (np.inf, "T must be positive and finite"),
+    ])
+    def test_rejects_a_bad_horizon(self, T, message):
+        obj = quad_1d()
+        with pytest.raises(ValueError, match=message):
+            integrate_conservative(obj, np.ones(1), np.zeros(1), 0.01, T)
+
     def test_stationary_start(self):
         obj = quadratic_objective(np.diag([2.0, 5.0]), np.array([-2.0, -5.0]))
         traj = integrate_conservative(obj, np.ones(2), np.zeros(2), 1e-2, 1.0)
@@ -143,6 +152,7 @@ DT_ENTRY_POINTS = {
     "kinetic_max_restart_time": lambda obj, x0, dt: kinetic_max_restart_time(obj, x0, dt=dt),
     "kinetic_energy_maxima": lambda obj, x0, dt: kinetic_energy_maxima(obj, x0, 5.0, dt=dt),
     "run_piecewise_conservative": lambda obj, x0, dt: run_piecewise_conservative(obj, x0, dt=dt),
+    "small_time_energy_check": lambda obj, x0, dt: small_time_energy_check(obj, x0, dt=dt),
 }
 
 
@@ -257,8 +267,11 @@ def test_rejects_a_bad_cap_horizon_or_restart_count(call, message):
 def test_rejects_a_derived_cap_whose_step_count_overflows(entry):
     # 2 x 32 L / (mu sqrt(mu)) is about 2e6 here, and 2e311 steps of 1e-305
     obj = quadratic_objective(np.diag([1e-3, 1.0]), np.zeros(2))
+    calls = []
+    counted = replace(obj, gradient=lambda x: calls.append(x) or obj.gradient(x))
     with pytest.raises(ValueError, match="cap / dt overflows"):
-        entry(obj, np.ones(2), dt=1e-305)
+        entry(counted, np.ones(2), dt=1e-305)
+    assert calls == []
 
 
 def test_zero_restarts_run_no_segment():
@@ -347,6 +360,17 @@ class TestMmdRestartTime:
         with pytest.raises(ValueError, match="f_star"):
             entry(counted, np.ones(4))
         assert calls == []
+
+    @pytest.mark.parametrize("offset", [1.0, 0.0, np.nan])
+    @pytest.mark.parametrize("entry", [mmd_restart_time, kinetic_max_restart_time, run_piecewise_conservative])
+    def test_refuses_an_f_star_not_below_f(self, entry, offset):
+        # the coercive cap (t1 / E_K(t1)) (f(x0) - f_star) needs a finite
+        # positive gap; none is a cap at all
+        M, c = gen_logsumexp_instance(4, 12, 21)
+        lse = logsumexp_objective(M, c, 1.0)
+        x0 = np.ones(4)
+        with pytest.raises(ValueError, match="f_star = .* must lie below f = "):
+            entry(lse, x0, f_star=lse.value(x0) + offset)
 
 
 class TestKineticMaxRestart:
