@@ -364,8 +364,8 @@ class TestMmdRestartTime:
     @pytest.mark.parametrize("offset", [1.0, 0.0, np.nan])
     @pytest.mark.parametrize("entry", [mmd_restart_time, kinetic_max_restart_time, run_piecewise_conservative])
     def test_refuses_an_f_star_not_below_f(self, entry, offset):
-        # the coercive cap (t1 / E_K(t1)) (f(x0) - f_star) needs a finite
-        # positive gap; none is a cap at all
+        # the coercive cap (t1 / E_K(t1)) (f(x0) - f_star) needs a positive,
+        # finite gap
         M, c = gen_logsumexp_instance(4, 12, 21)
         lse = logsumexp_objective(M, c, 1.0)
         x0 = np.ones(4)
