@@ -18,7 +18,7 @@ from .discrete import Trace, _check_step, _rcm_loop, _Recorder
 # Not called here (rcm_comp_run reaches it through discrete._rcm_loop), but
 # bench/spans.py patches this attribute to trace the restart test.
 from .discrete import should_restart  # noqa: F401
-from .objectives import CompositeObjective, minimal_norm_subgradient
+from .objectives import _ZERO, CompositeObjective, minimal_norm_subgradient
 
 Array = np.ndarray
 
@@ -32,11 +32,16 @@ __all__ = [
 
 
 def prox_l1(z: Array, tau: float) -> Array:
-    """Soft threshold, the proximal map of tau * ||.||_1."""
+    """Soft threshold, the proximal map of tau * ||.||_1.
+
+    tau and 0 enter as 0-d float64 arrays, the IEEE results of Python
+    floats without NumPy 2's weak-scalar promotion.  tau is checked first,
+    as given: a comparison of a 0-d array costs more than the conversion.
+    """
     if not tau >= 0:
         raise ValueError("tau must be nonnegative")
     z = np.asarray(z, dtype=float)
-    return np.sign(z) * np.maximum(np.abs(z) - tau, 0.0)
+    return np.sign(z) * np.maximum(np.abs(z) - np.array(tau, dtype=float), _ZERO)
 
 
 def sign_crossing_projection(x_old: Array, x_new: Array):
@@ -50,10 +55,10 @@ def sign_crossing_projection(x_old: Array, x_new: Array):
     x_new = np.asarray(x_new, dtype=float)
     if x_old.shape != x_new.shape:
         raise ValueError("x_old and x_new must have equal length")
-    mask = x_old * x_new < 0.0
+    mask = x_old * x_new < _ZERO  # 0-d operands, as in prox_l1
     crossed = bool(mask.any())
     if crossed:
-        x_new = np.where(mask, 0.0, x_new)
+        x_new = np.where(mask, _ZERO, x_new)
     return x_new, crossed
 
 
@@ -113,11 +118,16 @@ def _fista(f, x0, s, max_iter, restart, keep_iterates, stop=None):
     cycle is filled as any run: ``stop`` has seen its period (x0 aside, the
     value of row 0), so a running min or max such as the f* reference's
     dual-gap test is final.
+
+    The step s and the momentum (t_k - 1)/t_{k+1} enter their products as
+    0-d float64 arrays, as the steps of ``discrete._momentum_run`` do: the
+    IEEE products of Python floats without NumPy 2's weak-scalar promotion.
     """
     method = "fista-restart" if restart else "fista"
     _check_step(s, f.smooth.lipschitz, method, stacklevel=4)
     grad_g = f.smooth.gradient
     tau = s * f.l1_weight
+    step = np.array(s, dtype=float)
 
     x = np.array(x0, dtype=float)
     y = x.copy()
@@ -135,7 +145,7 @@ def _fista(f, x0, s, max_iter, restart, keep_iterates, stop=None):
 
     for _ in range(max_iter):
         x_prev, y_prev = x, y
-        x = prox_l1(y - s * grad_g(y), tau)
+        x = prox_l1(y - step * grad_g(y), tau)
         dx = x - x_prev
         fire = restart and float((y - x).dot(dx)) > 0.0
         if fire:
@@ -143,7 +153,7 @@ def _fista(f, x0, s, max_iter, restart, keep_iterates, stop=None):
             y = x
         else:
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            y = x + ((t - 1.0) / t_next) * dx
+            y = x + np.array((t - 1.0) / t_next) * dx
             t = t_next
         d = minimal_norm_subgradient(f, x)
         if rec.add(f.value(x), math.sqrt(d.dot(d)), fire, x) or (stop is not None and stop(x, rec.fvals[-1])):

@@ -202,6 +202,13 @@ def _flow_cap(obj: SmoothObjective, dt, cap, has_f_star: bool):
     return dt, cap
 
 
+def _check_f_star(f_star: float, f0: float) -> None:
+    """ValueError unless f0 - ``f_star``, the gap at a segment start, is
+    positive and finite."""
+    if not 0.0 < f0 - f_star < math.inf:
+        raise ValueError(f"f_star = {f_star:g} must lie below f = {f0:g} at the segment start")
+
+
 # -- cubic Hermite interpolation ----------------------------------------------
 
 
@@ -416,8 +423,7 @@ def _segment(obj, x0, g0, f0, dt, cap, f_star, after, samples=None, stride=1, t_
     None, cap) at the cap.
     """
     if cap is None:
-        if not 0.0 < f0 - f_star < math.inf:
-            raise ValueError(f"f_star = {f_star:g} must lie below f = {f0:g} at the segment start")
+        _check_f_star(f_star, f0)
         for _, t1, _, _, _, vv1 in _verlet(obj.gradient, x0, np.zeros_like(g0), dt, 16, g0):
             pass
         ek1 = 0.5 * vv1
@@ -520,7 +526,9 @@ def run_piecewise_conservative(
     lower/upper bounds per segment, per-restart objective contraction, the
     global floor-rate bound, and the total-arc-length bound.  Bound checks
     that need mu or f* are emitted only when those are available (f* is
-    computed exactly for quadratics when not supplied).
+    computed exactly for quadratics when not supplied).  A supplied
+    ``f_star`` must lie below f(x0), whatever the cap: ValueError, once
+    f(x0) is known, unless f(x0) - ``f_star`` is positive and finite.
     """
     exact_f_star = f_star is None and isinstance(obj, QuadraticObjective)
     dt, cap = _flow_cap(obj, dt, cap, f_star is not None or exact_f_star)
@@ -539,6 +547,8 @@ def run_piecewise_conservative(
 
     g0 = obj.gradient(x0)
     f0 = obj.value(x0)
+    if f_star is not None and not exact_f_star:
+        _check_f_star(f_star, f0)
     grad_floor = 1e-14 * max(1.0, math.sqrt(g0.dot(g0)))
     samples = [(0.0, x0.copy(), np.zeros_like(x0), f0)]  # (t, x, v, f), f None when not needed
     events: List[RestartEvent] = []

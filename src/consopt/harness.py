@@ -19,7 +19,8 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import groupby, repeat
+from operator import itemgetter
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -377,21 +378,38 @@ def run_experiment(config: ExperimentConfig) -> List[ResultRow]:
     return rows
 
 
+def _reprs(column):
+    """``repr`` of each float in ``column``, each distinct bit pattern
+    formatted once: the values are compared as the int64 view of their
+    float64 bits, so -0.0 and 0.0 stay apart."""
+    distinct, index = np.unique(np.array(column, dtype=float).view(np.int64), return_inverse=True)
+    return map(list(map(repr, distinct.view(float).tolist())).__getitem__, index.tolist())
+
+
 def write_csv(rows, path) -> None:
     """Rows to CSV, one line per row after the header line ``CSV_HEADER``.
 
     Fields are separated by commas and lines end in a single newline.
     ``method`` is written as is, ``rep``, ``iter`` and ``restart`` as
     decimal integers, and ``fval``, ``gap`` and ``residual`` with ``repr``,
-    which round-trips every float (``nan`` for the diagnostic row).  Lines
-    are streamed to the file, not joined in memory.
+    which round-trips every float (``nan`` for the diagnostic row).
+
+    ``rows`` may be any iterable, a generator included.  The writer takes
+    one run at a time, the consecutive rows of one (method, rep), and
+    formats each distinct float of its three float columns once, since
+    runs that settle or cycle repeat their values (:func:`_reprs`).  Its
+    lines are streamed to the file, not joined in memory.  A float field
+    is converted to float64 first, so a NumPy float scalar, which
+    ``ResultRow`` rules out, is written as its value and not as
+    ``np.float64(...)``.
     """
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
-        fh.writelines(
-            f"{method},{rep},{it},{fval!r},{gap!r},{residual!r},{restart}\n"
-            for method, rep, it, fval, gap, residual, restart in rows
-        )
+        for (method, rep), run in groupby(rows, itemgetter(0, 1)):
+            _, _, its, fvals, gaps, residuals, restarts = zip(*run)
+            fh.writelines(map("%s,%s,%s,%s,%s,%s,%s\n".__mod__, zip(
+                repeat(method), repeat(rep), its, _reprs(fvals), _reprs(gaps), _reprs(residuals), restarts,
+            )))
 
 
 def read_csv(path) -> List[ResultRow]:

@@ -32,7 +32,7 @@ so a call finds them in a closure cell, not in the module's globals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -119,13 +119,17 @@ class CompositeObjective:
 
     smooth: SmoothObjective
     l1_weight: float
+    # gamma and -gamma as 0-d float64 arrays, for minimal_norm_subgradient
+    _bounds: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.l1_weight < 0:
             raise ValueError("l1_weight must be nonnegative")
+        object.__setattr__(self, "_bounds", (np.array(self.l1_weight, dtype=float),
+                                             np.array(-self.l1_weight, dtype=float)))
 
     def value(self, x: Array) -> float:
-        return self.smooth.value(x) + self.l1_weight * np.abs(x).sum()
+        return self.smooth.value(x) + self.l1_weight * np.add.reduce(np.abs(x))
 
 
 def _shared_product(product, value_of, gradient_of):
@@ -298,7 +302,7 @@ def logistic_objective(A, y) -> LogisticObjective:
 
     def value_of(x, te):
         t, e = te
-        return float((np.maximum(sign * t, _ZERO) + np.log1p(e)).sum())
+        return float(np.add.reduce(np.maximum(sign * t, _ZERO) + np.log1p(e)))
 
     value, gradient = _shared_product(product, value_of, lambda x, te: A.dot(not_y - _sigmoid_neg(*te)))
     # A = 0 gives a linear objective; keep the Lipschitz field positive
@@ -377,13 +381,19 @@ def minimal_norm_subgradient(f: CompositeObjective, x: Array) -> Array:
     a masked copy, whose Python wrappers cost more than the arithmetic.
     ``maximum`` and ``minimum`` return their second argument on a tie, so
     with the gradient second they keep ``clip``'s signed zeros at
-    gamma = 0; a NaN gradient propagates.
+    gamma = 0; a NaN gradient propagates.  The zero coordinates are
+    overwritten in place (``np.subtract`` with ``where``), not selected by
+    ``np.where``.  gamma, -gamma and 0 enter as 0-d float64 arrays, which
+    give the IEEE results of Python floats without NumPy 2's weak-scalar
+    promotion, and a float64 ndarray x skips ``np.asarray``, as in the
+    oracles' shared product.
     """
-    x = np.asarray(x, dtype=float)
+    x = x if type(x) is np.ndarray and x.dtype is _FLOAT else np.asarray(x, dtype=float)
     g = f.smooth.gradient(x)
-    gamma = f.l1_weight
-    clipped = np.minimum(gamma, np.maximum(-gamma, g))
-    return np.where(x == 0.0, g - clipped, g + gamma * np.sign(x))
+    gamma, minus_gamma = f._bounds
+    d = g + gamma * np.sign(x)
+    np.subtract(g, np.minimum(gamma, np.maximum(minus_gamma, g)), out=d, where=x == _ZERO)
+    return d
 
 
 def l1_weight_rule(problem_kind: str, data) -> float:
