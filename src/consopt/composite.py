@@ -32,12 +32,9 @@ __all__ = [
 
 
 def prox_l1(z: Array, tau: float) -> Array:
-    """Soft threshold, the proximal map of tau * ||.||_1.
-
-    tau and 0 enter as 0-d float64 arrays, the IEEE results of Python
-    floats without NumPy 2's weak-scalar promotion.  tau is checked first,
-    as given: a comparison of a 0-d array costs more than the conversion.
-    """
+    """Soft threshold, the proximal map of tau * ||.||_1.  tau, checked
+    as given, and 0 enter as 0-d float64 arrays, as in
+    ``minimal_norm_subgradient``."""
     if not tau >= 0:
         raise ValueError("tau must be nonnegative")
     z = np.asarray(z, dtype=float)
@@ -120,8 +117,7 @@ def _fista(f, x0, s, max_iter, restart, keep_iterates, stop=None):
     dual-gap test is final.
 
     The step s and the momentum (t_k - 1)/t_{k+1} enter their products as
-    0-d float64 arrays, as the steps of ``discrete._momentum_run`` do: the
-    IEEE products of Python floats without NumPy 2's weak-scalar promotion.
+    0-d float64 arrays, as in ``discrete._momentum_run``.
     """
     method = "fista-restart" if restart else "fista"
     _check_step(s, f.smooth.lipschitz, method, stacklevel=4)

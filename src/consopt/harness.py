@@ -394,14 +394,13 @@ def write_csv(rows, path) -> None:
     decimal integers, and ``fval``, ``gap`` and ``residual`` with ``repr``,
     which round-trips every float (``nan`` for the diagnostic row).
 
-    ``rows`` may be any iterable, a generator included.  The writer takes
-    one run at a time, the consecutive rows of one (method, rep), and
-    formats each distinct float of its three float columns once, since
-    runs that settle or cycle repeat their values (:func:`_reprs`).  Its
-    lines are streamed to the file, not joined in memory.  A float field
-    is converted to float64 first, so a NumPy float scalar, which
-    ``ResultRow`` rules out, is written as its value and not as
-    ``np.float64(...)``.
+    ``rows`` may be any iterable.  It is written one run, the consecutive
+    rows of one (method, rep), at a time, and each distinct float of a
+    run's float columns is formatted once (:func:`_reprs`): runs that
+    settle or cycle repeat their values.  Lines are streamed to the file,
+    not joined in memory.  A float field is converted to float64 first, so
+    a NumPy float scalar, which ``ResultRow`` rules out, is written as its
+    value and not as ``np.float64(...)``.
     """
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")

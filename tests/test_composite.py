@@ -59,6 +59,18 @@ class TestProxL1:
         with pytest.raises(ValueError, match="tau must be nonnegative"):
             prox_l1(np.ones(2), np.nan)
 
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 2.0])
+    def test_bits_at_ties_and_signed_zeros(self, tau):
+        # |z_i| == tau exactly, signed zeros and NaN, at widths that take
+        # both the scalar and the vector ufunc loops, against the formula
+        # on Python floats.
+        z = np.array([tau, -tau, 0.0, -0.0, 1.25, -1.25, 3.0, -3.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324])
+        for width in (1, 3, len(z)):
+            for i in range(0, len(z), width):
+                zi = z[i:i + width]
+                expected = np.sign(zi) * np.maximum(np.abs(zi) - tau, 0.0)
+                assert prox_l1(zi, tau).tobytes() == expected.tobytes()
+
 
 class TestSignCrossing:
     def test_crossed_coordinate_zeroed(self):
@@ -79,6 +91,21 @@ class TestSignCrossing:
     def test_zeroed_coordinates_are_exact(self):
         x_proj, _ = sign_crossing_projection(np.array([1e-30]), np.array([-1e-30]))
         assert x_proj[0] == 0.0 and np.copysign(1.0, x_proj[0]) == 1.0
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")  # 0 * inf
+    def test_bits_at_signed_zeros_and_nan(self):
+        # every pairing of signed zeros, NaN, infinities and a product that
+        # underflows to -0.0, at widths that take both the scalar and the
+        # vector ufunc loops, against the formula on Python floats.
+        vals = [0.0, -0.0, 1.0, -2.0, 1e-200, -1e-200, np.nan, np.inf, -np.inf]
+        old, new = (np.array(c, dtype=float) for c in zip(*[(a, b) for a in vals for b in vals]))
+        for width in (1, 3, len(old)):
+            for i in range(0, len(old), width):
+                oi, ni = old[i:i + width], new[i:i + width]
+                mask = oi * ni < 0.0
+                x_proj, crossed = sign_crossing_projection(oi, ni)
+                assert crossed == bool(mask.any())
+                assert x_proj.tobytes() == np.where(mask, 0.0, ni).tobytes()
 
 
 class TestRcmComp:

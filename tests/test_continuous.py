@@ -417,6 +417,16 @@ class TestKineticMaxRestart:
 
 
 class TestPiecewise:
+    @pytest.mark.parametrize("cap", [None, 50.0])
+    @pytest.mark.parametrize("offset", [1.0, 0.0, np.nan, -np.inf])
+    def test_refuses_an_f_star_not_below_f_whatever_the_cap(self, offset, cap):
+        # a strongly convex flow's cap is derived or given, never bootstrapped
+        # from f_star, but its bound reports read their gaps from f_star
+        obj = gen_random_quadratic(4, 0.2, 3.0, 1)
+        x0 = np.ones(4)
+        with pytest.raises(ValueError, match="f_star = .* must lie below f = "):
+            run_piecewise_conservative(obj, x0, dt=0.01, n_restarts=2, f_star=obj.value(x0) + offset, cap=cap)
+
     def test_minimizer_start_is_constant(self):
         obj = quadratic_objective(np.diag([2.0, 5.0]), np.array([-2.0, -5.0]))
         result = run_piecewise_conservative(obj, np.ones(2), n_restarts=3)

@@ -366,6 +366,27 @@ class TestCsv:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line {lineno}: "):
             read_csv(path)
 
+    def test_bytes_equal_the_per_row_format(self, tmp_path):
+        # Each run's distinct floats are formatted once; the bytes must be
+        # those of formatting every field of every row on its own.
+        special = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5, 0.1, -2.5]
+        rows = [
+            ResultRow("gd", 0, i, special[i % 10], special[(3 * i) % 10], special[(7 * i + 1) % 10], i % 2)
+            for i in range(25)
+        ]
+        # a value repeated within and across runs, runs of one row, and a
+        # run of the same method on another repetition
+        rows += [ResultRow("rcm-grad", 0, i, 0.1, -0.0, 0.1, 0) for i in range(3)]
+        rows += [ResultRow("rcm-grad", 1, 0, 0.0, 0.0, -0.0, 1), ResultRow("gd", 1, 0, 1e16, 1e-5, math.nan, 0)]
+        expected = "method,rep,iter,fval,gap,residual,restart\n" + "".join(
+            f"{m},{r},{i},{fval!r},{gap!r},{res!r},{restart}\n" for m, r, i, fval, gap, res, restart in rows
+        )
+        path = tmp_path / "rows.csv"
+        write_csv(rows, path)
+        assert path.read_text() == expected
+        write_csv((row for row in rows), path)
+        assert path.read_text() == expected
+
     def test_header_only_for_empty(self, tmp_path):
         path = tmp_path / "empty.csv"
         write_csv([], path)
