@@ -74,8 +74,8 @@ class SmoothObjective:
     strong_convexity: Optional[float] = None
 
     def __post_init__(self):
-        if not self.lipschitz > 0:
-            raise ValueError("lipschitz must be positive")
+        if not 0 < self.lipschitz < math.inf:
+            raise ValueError(f"lipschitz must be positive and finite, not {self.lipschitz!r}")
         mu = self.strong_convexity
         if mu is not None:
             if not mu > 0:
@@ -166,8 +166,10 @@ def power_iteration(matvec, n: int) -> float:
 
     Starts from the deterministic vector ones(n)/sqrt(n) and iterates until
     the eigenvalue estimate is stationary to relative tolerance 1e-8.
-    Raises ``RuntimeError`` if the estimate has not settled within 10,000
-    iterations.
+    Raises ``ValueError`` at the first step whose estimate is not finite,
+    as it is when the operator has a non-finite entry or its product
+    overflows, and ``RuntimeError`` if the estimate has not settled within
+    10,000 iterations.
 
     The value ||M v|| at a unit v is an estimate from below, not a
     certified upper bound: on the benchmark's 60 logistic-l1 instances it
@@ -179,6 +181,8 @@ def power_iteration(matvec, n: int) -> float:
     for _ in range(10_000):
         w = matvec(v)
         lam_new = math.sqrt(w.dot(w))
+        if not lam_new < math.inf:
+            raise ValueError(f"power iteration estimate {lam_new!r} is not finite")
         if lam_new == 0.0:
             return 0.0
         v = w / lam_new
@@ -188,12 +192,23 @@ def power_iteration(matvec, n: int) -> float:
     raise RuntimeError("power iteration did not converge within 10000 iterations")
 
 
+def _gram_lambda_max(A) -> float:
+    """lambda_max(A A') by :func:`power_iteration`, refused with a
+    ``ValueError`` naming A as soon as the estimate is not finite."""
+    try:
+        return power_iteration(lambda v: A.dot(A.T.dot(v)), A.shape[0])
+    except ValueError as exc:
+        raise ValueError(f"A has a non-finite entry or A A' overflows ({exc})") from None
+
+
 def quadratic_objective(A, b) -> QuadraticObjective:
     """Build 1/2 x'Ax + b'x from a symmetric positive definite matrix.
 
     The Lipschitz constant is lambda_max(A) and the strong convexity modulus
     lambda_min(A), both from a dense symmetric eigendecomposition.  A must be
-    symmetric to relative tolerance 1e-12.
+    symmetric to relative tolerance 1e-12.  A or b with a NaN or infinite
+    entry is refused with a ``ValueError`` that names it.  A is kept as
+    given when it is already a float64 array, not copied.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -202,7 +217,12 @@ def quadratic_objective(A, b) -> QuadraticObjective:
     n = A.shape[0]
     if b.shape != (n,):
         raise ValueError("b has inconsistent length")
-    scale = max(1.0, float(np.abs(A).max()))
+    a_max = float(np.abs(A).max())  # NaN if A has a NaN
+    if not a_max < math.inf:
+        raise ValueError("A has a non-finite entry")
+    if not np.isfinite(b).all():
+        raise ValueError("b has a non-finite entry")
+    scale = max(1.0, a_max)
     if np.abs(A - A.T).max() > 1e-12 * scale:
         raise ValueError("A is not symmetric")
     evals = np.linalg.eigvalsh(A)
@@ -238,10 +258,31 @@ def _quadratic_min_value(obj: QuadraticObjective) -> float:
     return obj.value(x_min)
 
 
+def _aligned_matrix(n: int, m: int) -> Array:
+    """An uninitialised C-ordered float64 n x m array whose data starts on
+    a 64-byte boundary, where every generated matrix starts.  OpenBLAS's
+    products are slower off the boundary, and NumPy's own allocations land
+    off it: a block below glibc's mmap threshold sits at whatever 16-byte
+    offset the heap's history gives it, and an mmap-served block starts 16
+    bytes past a page.  On a 2-core Xeon with AVX-512, a 200 x 200
+    matrix-vector product took 3.89 us on the boundary and 5.45 us at 16
+    bytes past it, and the power iterations of ten 50 x 200 instances
+    6.8 ms on it and 8.0-8.9 ms at the other offsets, for the same bits."""
+    buf = np.empty(n * m + 8)
+    start = -buf.ctypes.data % 64 // 8
+    return buf[start:start + n * m].reshape(n, m)
+
+
 def gen_random_quadratic(n: int, lam_lo: float, lam_hi: float, seed: int) -> QuadraticObjective:
     """Random SPD quadratic: eigenvalues uniform on [lam_lo, lam_hi],
     eigenbasis from the QR factorization of a standard normal matrix,
-    b standard normal.  Deterministic given the seed."""
+    b standard normal.  Deterministic given the seed.
+
+    A = (M + M')/2 for M = Q diag(evals) Q' is formed in a 64-byte-aligned
+    buffer (:func:`_aligned_matrix`), which :func:`quadratic_objective`
+    keeps, so every gradient's product A x runs on the boundary.  Adding
+    into that buffer and halving in place keeps the bits of 0.5 * (M + M')
+    without a second n x n temporary."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not (0 < lam_lo <= lam_hi):
@@ -250,7 +291,8 @@ def gen_random_quadratic(n: int, lam_lo: float, lam_hi: float, seed: int) -> Qua
     evals = rng.uniform(lam_lo, lam_hi, size=n)
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     M = (Q * evals) @ Q.T
-    A = 0.5 * (M + M.T)
+    A = np.add(M, M.T, out=_aligned_matrix(n, n))
+    A *= 0.5
     b = rng.standard_normal(n)
     return quadratic_objective(A, b)
 
@@ -286,18 +328,20 @@ def logistic_objective(A, y) -> LogisticObjective:
     with |t| from 1e-8 to 630, sigmoid(-t) is within 1.96 ulps, 1.13 at the
     99th percentile (SciPy's ``expit``: 1.99 and 1.65), and softplus(-t)
     within 1.26 ulps (``np.logaddexp``: 1.38).  The Lipschitz constant is
-    lambda_max(A A') / 4, estimated from below by :func:`power_iteration`.
+    lambda_max(A A') / 4, estimated from below by :func:`power_iteration`;
+    A with a NaN or infinite entry is refused with a ``ValueError`` that
+    names it at the iteration's first step.
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
     if A.ndim != 2:
         raise ValueError("A must be a matrix")
-    n, m = A.shape
+    m = A.shape[1]
     if y.shape != (m,):
         raise ValueError("y length must equal the number of columns of A")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("y entries must lie in {0, 1}")
-    lam = power_iteration(lambda v: A.dot(A.T.dot(v)), n)
+    lam = _gram_lambda_max(A)
     A_t_dot = A.T.dot
     not_y = 1.0 - y
     sign = not_y - y
@@ -316,18 +360,6 @@ def logistic_objective(A, y) -> LogisticObjective:
         value=value, gradient=gradient,
         lipschitz=max(0.25 * lam, np.finfo(float).tiny), A=A, y=y,
     )
-
-
-def _aligned_matrix(n: int, m: int) -> Array:
-    """An uninitialised C-ordered float64 n x m array whose data starts on
-    a 64-byte boundary.  A sample matrix below glibc's mmap threshold lands
-    at whatever 16-byte offset the heap's history gives it, and OpenBLAS's
-    products are slower off the boundary: on a 2-core Xeon with AVX-512,
-    the power iterations of ten 50 x 200 instances took 6.8 ms on it and
-    8.0-8.9 ms at the other offsets, for the same bits."""
-    buf = np.empty(n * m + 8)
-    start = -buf.ctypes.data % 64 // 8
-    return buf[start:start + n * m].reshape(n, m)
 
 
 def gen_logistic_instance(n: int, m: int, seed: int):
@@ -354,17 +386,21 @@ def logsumexp_objective(A, b, rho: float) -> LogSumExpObjective:
     Evaluation shifts by the max exponent before exponentiating; the gradient
     is A @ softmax of the shifted exponents.  The Lipschitz constant is
     lambda_max(A A') / rho, estimated from below by :func:`power_iteration`.
+    A or b with a NaN or infinite entry is refused with a ``ValueError``
+    that names it, A at the power iteration's first step.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    if not 0 < rho < math.inf:
+        raise ValueError(f"rho must be positive and finite, not {rho!r}")
     if A.ndim != 2:
         raise ValueError("A must be a matrix")
-    n, m = A.shape
+    m = A.shape[1]
     if b.shape != (m,):
         raise ValueError("b length must equal the number of columns of A")
-    lam = power_iteration(lambda v: A.dot(A.T.dot(v)), n)
+    if not np.isfinite(b).all():
+        raise ValueError("b has a non-finite entry")
+    lam = _gram_lambda_max(A)
     from scipy.special import logsumexp, softmax
 
     value, gradient = _shared_product(

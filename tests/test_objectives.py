@@ -63,6 +63,25 @@ class TestQuadratic:
         with pytest.raises(ValueError, match="positive definite"):
             quadratic_objective(np.diag([1.0, -0.5]), np.zeros(2))
 
+    @pytest.mark.parametrize("A, b, name", [
+        ([[math.inf]], [0.0], "A"),
+        ([[1.0, 0.0], [0.0, -math.inf]], [0.0, 0.0], "A"),
+        ([[1.0, math.nan], [math.nan, 1.0]], [0.0, 0.0], "A"),
+        ([[2.0, 0.0], [0.0, math.nan]], [0.0, 0.0], "A"),
+        (np.eye(2), [0.0, math.nan], "b"),
+        (np.eye(2), [-math.inf, 0.0], "b"),
+    ])
+    def test_rejects_non_finite_data(self, A, b, name):
+        # [[inf]] was accepted with L = inf, a NaN in b with f NaN
+        # everywhere, and a NaN in A refused as "lipschitz must be positive"
+        with pytest.raises(ValueError, match=f"^{name} has a non-finite entry"):
+            quadratic_objective(A, b)
+
+    def test_rejects_a_non_finite_lipschitz_bound(self):
+        for lipschitz in (math.inf, math.nan, 0.0):
+            with pytest.raises(ValueError, match="lipschitz must be positive and finite"):
+                SmoothObjective(value=sum, gradient=np.asarray, lipschitz=lipschitz)
+
 
 class TestRandomQuadratic:
     def test_degenerate_interval(self):
@@ -87,6 +106,20 @@ class TestRandomQuadratic:
             gen_random_quadratic(5, 0.0, 1.0, 0)
         with pytest.raises(ValueError):
             gen_random_quadratic(5, 2.0, 1.0, 0)
+
+    @pytest.mark.parametrize("n", [1, 8, 50, 200, 1000])
+    def test_matrix_starts_on_a_64_byte_boundary(self, n):
+        # where BLAS products run fastest; NumPy's own block would sit at
+        # the heap's offset for small n and 16 bytes past a page for the
+        # mmap-served large ones.  The bits are 0.5 (M + M') of the stream.
+        obj = gen_random_quadratic(n, 0.03, 15.0, n)
+        assert obj.A.ctypes.data % 64 == 0 and obj.A.flags.c_contiguous
+        rng = np.random.default_rng(n)
+        evals = rng.uniform(0.03, 15.0, size=n)
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        M = (Q * evals) @ Q.T
+        assert obj.A.tobytes() == (0.5 * (M + M.T)).tobytes()
+        assert obj.b.tobytes() == rng.standard_normal(n).tobytes()
 
 
 class TestLogistic:
@@ -131,6 +164,16 @@ class TestLogistic:
             logistic_objective(A, np.array([0.0, 0.5, 1.0]))
         with pytest.raises(ValueError, match="length"):
             logistic_objective(A, np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="0, 1"):
+            logistic_objective(A, np.array([0.0, math.nan, 1.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_sample_matrix(self, bad):
+        # a NaN ran 10,000 power-iteration steps into "did not converge"
+        A = np.ones((2, 3))
+        A[1, 2] = bad
+        with pytest.raises(ValueError, match="^A has a non-finite entry"):
+            logistic_objective(A, np.array([0.0, 1.0, 1.0]))
 
 
 # The (n, m, seed) of every logistic instance that the tests draw, besides
@@ -211,6 +254,21 @@ class TestLogSumExp:
     def test_rejects_nonpositive_rho(self):
         with pytest.raises(ValueError, match="rho"):
             logsumexp_objective(np.ones((2, 3)), np.zeros(3), 0.0)
+
+    @pytest.mark.parametrize("rho", [math.inf, math.nan])
+    def test_rejects_a_non_finite_rho(self, rho):
+        with pytest.raises(ValueError, match="rho must be positive and finite"):
+            logsumexp_objective(np.ones((2, 3)), np.zeros(3), rho)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_data(self, bad):
+        A, b = np.ones((2, 3)), np.zeros(3)
+        b[1] = bad
+        with pytest.raises(ValueError, match="^b has a non-finite entry"):
+            logsumexp_objective(A, b, 1.0)
+        A[0, 1] = bad
+        with pytest.raises(ValueError, match="^A has a non-finite entry"):
+            logsumexp_objective(A, np.zeros(3), 1.0)
 
 
 def _clip_subgradient(g, x, gamma):
@@ -334,6 +392,19 @@ class TestLipschitzConstant:
             lam_max = np.linalg.eigvalsh(A @ A.T)[-1]
             lam = logsumexp_objective(A, b, 1.0).lipschitz
             assert lam_max * (1.0 - 1e-5) <= lam <= lam_max * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("w", [[math.nan, 1.0], [math.inf, 0.0], [1e200, 1e200]])
+    def test_power_iteration_refuses_a_non_finite_estimate_at_once(self, w):
+        # a NaN or an infinite entry, or a product that overflows
+        calls = []
+
+        def matvec(v):
+            calls.append(v)
+            return np.array(w)
+
+        with pytest.raises(ValueError, match="not finite"), np.errstate(over="ignore"):
+            power_iteration(matvec, 2)
+        assert len(calls) == 1
 
 
 class TestSharedInvariants:
@@ -595,3 +666,37 @@ def test_a_0d_operand_multiplies_like_a_python_float(c, a):
     discrete loops rely on it to take their step sizes as 0-d arrays."""
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         assert (np.array(c) * a).tobytes() == (c * a).tobytes()
+
+
+def _at_offset(a, offset):
+    """A C-ordered copy of ``a`` whose data starts ``offset`` bytes past a
+    64-byte boundary."""
+    buf = np.empty(a.size + 16)
+    start = (-buf.ctypes.data % 64 + offset) // 8
+    out = buf[start:start + a.size].reshape(a.shape)
+    out[...] = a
+    assert out.ctypes.data % 64 == offset
+    return out
+
+
+def test_blas_results_do_not_depend_on_operand_offsets():
+    """The products, the solve and the eigenvalues behind the quadratic and
+    logistic oracles, f* and the Lipschitz bounds give the same bytes with
+    each operand at every 8-byte offset of a 64-byte line, so that moving
+    a generated matrix onto the boundary keeps every trace's bits."""
+    offsets = range(0, 64, 8)
+    rng = np.random.default_rng(24)
+    A = gen_random_quadratic(200, 0.03, 15.0, 24).A
+    x, b = rng.standard_normal(200), rng.standard_normal(200)
+    S = gen_logistic_instance(50, 200, 24)[0]
+    v, w = rng.standard_normal(200), rng.standard_normal(50)
+    results = {"A x": set(), "solve": set(), "eigvalsh": set(), "S v": set(), "S' w": set()}
+    for oa in offsets:
+        A_o, S_o = _at_offset(A, oa), _at_offset(S, oa)
+        results["eigvalsh"].add(np.linalg.eigvalsh(A_o).tobytes())
+        for ox in offsets:
+            results["A x"].add(A_o.dot(_at_offset(x, ox)).tobytes())
+            results["solve"].add(np.linalg.solve(A_o, _at_offset(-b, ox)).tobytes())
+            results["S v"].add(S_o.dot(_at_offset(v, ox)).tobytes())
+            results["S' w"].add(S_o.T.dot(_at_offset(w, ox)).tobytes())
+    assert {k: len(r) for k, r in results.items()} == dict.fromkeys(results, 1)
