@@ -352,7 +352,7 @@ def _rep_rows(config: ExperimentConfig, rep: int) -> Tuple[List[ResultRow], int]
         negative = gaps < 0.0
         clipped += int(np.count_nonzero(negative))
         gaps[negative] = 0.0
-        rows.extend(map(ResultRow._make, zip(
+        rows.extend(map(tuple.__new__, repeat(ResultRow), zip(
             repeat(name), repeat(rep), range(len(trace)), trace.fvals.tolist(), gaps.tolist(),
             trace.residuals.tolist(), trace.restarts.astype(int).tolist(),
         )))
@@ -395,20 +395,23 @@ def write_csv(rows, path) -> None:
     which round-trips every float (``nan`` for the diagnostic row).
 
     ``rows`` may be any iterable.  It is written one run, the consecutive
-    rows of one (method, rep), at a time, and each distinct float of a
-    run's float columns is formatted once (:func:`_reprs`): runs that
-    settle or cycle repeat their values.  Lines are streamed to the file,
-    not joined in memory.  A float field is converted to float64 first, so
-    a NumPy float scalar, which ``ResultRow`` rules out, is written as its
-    value and not as ``np.float64(...)``.
+    rows of one (method, rep), at a time: each distinct float of a run's
+    float columns is formatted once (:func:`_reprs`), so the formatting
+    cost follows the distinct values per run (runs that settle or cycle
+    repeat theirs), and the run's lines are joined behind one
+    ``method,rep,`` prefix and written at once.  The bytes are those of
+    formatting every row on its own.  A float field is converted to
+    float64 first, so a NumPy float scalar, which ``ResultRow`` rules out,
+    is written as its value and not as ``np.float64(...)``.
     """
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
         for (method, rep), run in groupby(rows, itemgetter(0, 1)):
             _, _, its, fvals, gaps, residuals, restarts = zip(*run)
-            fh.writelines(map("%s,%s,%s,%s,%s,%s,%s\n".__mod__, zip(
-                repeat(method), repeat(rep), its, _reprs(fvals), _reprs(gaps), _reprs(residuals), restarts,
-            )))
+            prefix = f"{method},{rep},"
+            fh.write(prefix + ("\n" + prefix).join(map("%s,%s,%s,%s,%s".__mod__, zip(
+                its, _reprs(fvals), _reprs(gaps), _reprs(residuals), restarts,
+            ))) + "\n")
 
 
 def read_csv(path) -> List[ResultRow]:
@@ -418,17 +421,38 @@ def read_csv(path) -> List[ResultRow]:
     naming the path and the 1-based line number, if a line is blank, has
     other than seven fields, or has a field that does not parse as its
     type.
+
+    Each line is split once into method, rep, iter and the rest, its
+    tail.  ``rep`` is parsed once per run (consecutive lines of one
+    method and rep), and a tail only the first time its text appears in
+    its run, so the parsing cost follows the distinct rows per run.  The
+    rows, their field types and every error message are those of parsing
+    each line in full.
     """
     rows = []
+    append, new = rows.append, tuple.__new__
+    run_method = run_rep = None
     with open(path) as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ValueError(f"{path}: unexpected header {header!r}")
         for lineno, line in enumerate(fh, start=2):
             try:
-                method, rep, it, fval, gap, residual, restart = line.rstrip("\n").split(",")
-                rows.append(ResultRow(method, int(rep), int(it), float(fval), float(gap),
-                                      float(residual), int(restart)))
+                try:
+                    method, rep, it, tail = line.split(",", 3)
+                    new_run = rep != run_rep or method != run_method
+                    vals = None if new_run else tails.get(tail)
+                    if vals is None:
+                        fval, gap, residual, restart = tail.split(",")
+                except ValueError:
+                    # not seven fields: fail as unpacking them into seven does
+                    _, _, _, _, _, _, _ = line.rstrip("\n").split(",")
+                if new_run:
+                    run_method, run_rep, rep_i, tails = method, rep, int(rep), {}
+                i = int(it)
+                if vals is None:
+                    vals = tails[tail] = (float(fval), float(gap), float(residual), int(restart.rstrip("\n")))
+                append(new(ResultRow, (method, rep_i, i) + vals))
             except ValueError as err:
                 raise ValueError(f"{path}: line {lineno}: malformed row ({err})") from None
     return rows

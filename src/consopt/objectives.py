@@ -130,7 +130,7 @@ class CompositeObjective:
                                              np.array(-self.l1_weight, dtype=float)))
 
     def value(self, x: Array) -> float:
-        return self.smooth.value(x) + self.l1_weight * np.add.reduce(np.abs(x))
+        return self.smooth.value(x) + self.l1_weight * float(np.add.reduce(np.abs(x)))
 
 
 def _shared_product(product, value_of, gradient_of):
@@ -206,9 +206,10 @@ def quadratic_objective(A, b) -> QuadraticObjective:
 
     The Lipschitz constant is lambda_max(A) and the strong convexity modulus
     lambda_min(A), both from a dense symmetric eigendecomposition.  A must be
-    symmetric to relative tolerance 1e-12.  A or b with a NaN or infinite
-    entry is refused with a ``ValueError`` that names it.  A is kept as
-    given when it is already a float64 array, not copied.
+    symmetric to relative tolerance 1e-12; an exactly symmetric A, as every
+    generator makes, passes without forming A - A'.  A or b with a NaN or
+    infinite entry is refused with a ``ValueError`` that names it.  A is
+    kept as given when it is already a float64 array, not copied.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -217,13 +218,12 @@ def quadratic_objective(A, b) -> QuadraticObjective:
     n = A.shape[0]
     if b.shape != (n,):
         raise ValueError("b has inconsistent length")
-    a_max = float(np.abs(A).max())  # NaN if A has a NaN
+    a_max = max(float(A.max()), -float(A.min()))  # NaN if A has a NaN
     if not a_max < math.inf:
         raise ValueError("A has a non-finite entry")
     if not np.isfinite(b).all():
         raise ValueError("b has a non-finite entry")
-    scale = max(1.0, a_max)
-    if np.abs(A - A.T).max() > 1e-12 * scale:
+    if not np.array_equal(A, A.T) and np.abs(A - A.T).max() > 1e-12 * max(1.0, a_max):
         raise ValueError("A is not symmetric")
     evals = np.linalg.eigvalsh(A)
     lam_min, lam_max = float(evals[0]), float(evals[-1])
@@ -280,17 +280,19 @@ def gen_random_quadratic(n: int, lam_lo: float, lam_hi: float, seed: int) -> Qua
 
     A = (M + M')/2 for M = Q diag(evals) Q' is formed in a 64-byte-aligned
     buffer (:func:`_aligned_matrix`), which :func:`quadratic_objective`
-    keeps, so every gradient's product A x runs on the boundary.  Adding
-    into that buffer and halving in place keeps the bits of 0.5 * (M + M')
-    without a second n x n temporary."""
+    keeps, so every gradient's product A x runs on the boundary.  Q diag(evals)
+    is formed in the dead buffer of the normal draw, and adding into the
+    aligned buffer and halving in place keeps the bits of 0.5 * (M + M'),
+    without further n x n temporaries."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not (0 < lam_lo <= lam_hi):
         raise ValueError("need 0 < lam_lo <= lam_hi")
     rng = np.random.default_rng(seed)
     evals = rng.uniform(lam_lo, lam_hi, size=n)
-    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    M = (Q * evals) @ Q.T
+    G = rng.standard_normal((n, n))
+    Q, _ = np.linalg.qr(G)
+    M = np.multiply(Q, evals, out=G) @ Q.T
     A = np.add(M, M.T, out=_aligned_matrix(n, n))
     A *= 0.5
     b = rng.standard_normal(n)

@@ -6,7 +6,8 @@ subdifferential interval, and reference roots/integrals from scipy solvers
 applied to the defining equations, or 200-bit ``mpmath`` values to
 measure rounding errors in ulps.  The mean dissipation rate of the
 conservative flow, r(t) = E_K(t) / t, and its slope at t = 0 are stated here
-too: only the tests read them.
+too: only the tests read them, as they do the per-line CSV reader that
+``harness.read_csv`` must agree with.
 """
 
 import math
@@ -14,6 +15,8 @@ import math
 import mpmath
 import numpy as np
 from scipy.optimize import brentq
+
+from consopt.harness import CSV_HEADER, ResultRow
 
 
 def fd_gradient(fun, x, rel_step=1e-6):
@@ -81,3 +84,21 @@ def initial_dissipation_slope(obj, x0) -> float:
     """dr/dt at t = 0, which equals |grad f(x0)|^2 / 2."""
     g = obj.gradient(np.asarray(x0, dtype=float))
     return 0.5 * float(g.dot(g))
+
+
+def read_csv_per_line(path):
+    """Rows from a harness CSV, every line split and parsed in full: the
+    reference for ``harness.read_csv``'s rows, field types and errors."""
+    rows = []
+    with open(path) as fh:
+        header = fh.readline().strip()
+        if header != CSV_HEADER:
+            raise ValueError(f"{path}: unexpected header {header!r}")
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                method, rep, it, fval, gap, residual, restart = line.rstrip("\n").split(",")
+                rows.append(ResultRow(method, int(rep), int(it), float(fval), float(gap),
+                                      float(residual), int(restart)))
+            except ValueError as err:
+                raise ValueError(f"{path}: line {lineno}: malformed row ({err})") from None
+    return rows

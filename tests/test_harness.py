@@ -15,6 +15,7 @@ from scipy.special import entr
 from consopt import discrete, harness
 from consopt.composite import fista_restart_run
 from consopt.harness import (
+    CSV_HEADER,
     DUAL_GAP_ULPS,
     METHODS,
     PROBLEMS,
@@ -33,7 +34,7 @@ from consopt.harness import (
 from consopt.objectives import CompositeObjective, _exp_neg_abs, _sigmoid_neg, quadratic_objective
 from consopt.cli import main as cli_main
 
-from oracles import max_ulps
+from oracles import max_ulps, read_csv_per_line
 
 # A quadratic family, whose exact f* makes some gaps clip at roundoff, with
 # one method (gd at s = 10 > 2/L) that diverges on every repetition.
@@ -162,6 +163,7 @@ class TestRunExperiment:
         ]
         field_types = (str, int, int, float, float, float, int)
         assert all(tuple(map(type, r)) == field_types for r in rows)
+        assert all(type(r) is ResultRow for r in rows)
 
     @pytest.mark.parametrize("l1", [False, True])
     @pytest.mark.parametrize("problem", PROBLEMS)
@@ -335,6 +337,18 @@ def test_scipy_submodules_load_only_where_a_run_uses_them():
     assert proc.returncode == 0, proc.stderr
 
 
+# Lines after MALFORMED_PREFIX that read_csv refuses, and the line it names.
+MALFORMED_PREFIX = "method,rep,iter,fval,gap,residual,restart\ngd,0,0,1.0,0.5,2.0,0\n"
+MALFORMED = [
+    ("gd,0,1,0.5,0.25,1.0\n", 3),
+    ("gd,0,1,0.5,0.25,1.0,0,7\n", 3),
+    ("gd,0,1,half,0.25,1.0,0\n", 3),
+    ("gd,0,one,0.5,0.25,1.0,0\n", 3),
+    ("\n", 3),
+    ("gd,0,1,0.5,0.25,1.0,0\n\n", 4),
+]
+
+
 class TestCsv:
     def test_round_trip(self, tmp_path):
         cfg = ExperimentConfig(problem="quadratic", n=6, reps=1, max_iter=12, methods=("gd", "rcm-grad"))
@@ -352,17 +366,10 @@ class TestCsv:
         assert any(math.isnan(r.gap) for r in back)
         assert _bits(back) == _bits(rows)
 
-    @pytest.mark.parametrize("line, lineno", [
-        ("gd,0,1,0.5,0.25,1.0\n", 3),
-        ("gd,0,1,0.5,0.25,1.0,0,7\n", 3),
-        ("gd,0,1,half,0.25,1.0,0\n", 3),
-        ("gd,0,one,0.5,0.25,1.0,0\n", 3),
-        ("\n", 3),
-        ("gd,0,1,0.5,0.25,1.0,0\n\n", 4),
-    ])
+    @pytest.mark.parametrize("line, lineno", MALFORMED)
     def test_malformed_row_names_path_and_line(self, tmp_path, line, lineno):
         path = tmp_path / "rows.csv"
-        path.write_text("method,rep,iter,fval,gap,residual,restart\ngd,0,0,1.0,0.5,2.0,0\n" + line)
+        path.write_text(MALFORMED_PREFIX + line)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line {lineno}: "):
             read_csv(path)
 
@@ -397,6 +404,126 @@ class TestCsv:
         path = tmp_path / "rep.json"
         write_report({"bound_name": "x", "lhs": 1.0, "rhs": 2.0, "slack": 0.0, "pass": True}, path)
         assert json.loads(path.read_text())["pass"] is True
+
+
+def _same_rows(path):
+    """read_csv's rows of ``path`` equal the per-line reference's, field
+    for field, bit for bit and type for type."""
+    got, expected = read_csv(path), read_csv_per_line(path)
+    assert _bits(got) == _bits(expected)
+    assert [tuple(map(type, r)) for r in got] == [tuple(map(type, r)) for r in expected]
+    assert all(type(r) is ResultRow for r in got)
+    return got
+
+
+def _same_error(path):
+    """read_csv refuses ``path`` with the per-line reference's message."""
+    with pytest.raises(ValueError) as expected:
+        read_csv_per_line(path)
+    with pytest.raises(ValueError) as got:
+        read_csv(path)
+    assert str(got.value) == str(expected.value)
+    return str(got.value)
+
+
+class TestCsvReader:
+    """read_csv parses each run's rep once and each distinct tail (fval,
+    gap, residual, restart) once per run; oracles.read_csv_per_line parses
+    every field of every line."""
+
+    def test_fixed_point_and_period_p_runs(self, tmp_path):
+        rows = []
+        for rep in range(2):
+            # a run that settles after 40 iterations and one per period p,
+            # each with a restart once per cycle
+            rows += [ResultRow("rcm-kin", rep, i, 1.0 / (1 + min(i, 40)), 0.5 ** min(i, 40), 0.1 * rep, int(i == 40))
+                     for i in range(301)]
+            for p in (2, 3, 7):
+                rows += [ResultRow(f"period-{p}", rep, i, 0.5 + i % p, 0.1 * (i % p), 2.0 ** -(i % p), int(i % p == 0))
+                         for i in range(200)]
+        path = tmp_path / "rows.csv"
+        write_csv(rows, path)
+        assert _bits(_same_rows(path)) == _bits(rows)
+
+    def test_special_tails(self, tmp_path):
+        # tails that differ only in a signed zero, NaN, infinities and
+        # subnormals, repeated and alternating within one run
+        tails = ["0.0,0.0,0.0,0", "-0.0,0.0,0.0,0", "0.0,-0.0,0.0,0", "0.0,0.0,-0.0,0", "nan,nan,nan,0",
+                 "inf,-inf,inf,1", "-inf,inf,-inf,1", "5e-324,-5e-324,1e-310,0", "-1e-310,2.2250738585072e-308,0.0,1"]
+        order = list(range(len(tails))) + [0, 1, 0, 1, 4, 4, 7, 8, 7, 2, 3]
+        path = tmp_path / "rows.csv"
+        path.write_text(CSV_HEADER + "\n" + "".join(f"gd,0,{i},{tails[k]}\n" for i, k in enumerate(order)))
+        back = _same_rows(path)
+        assert [math.copysign(1.0, r.fval) for r in back[:2]] == [1.0, -1.0]
+        assert back[7].fval == back[-3].fval == 5e-324 and math.isnan(back[4].gap)
+
+    def test_same_tail_under_another_run(self, tmp_path):
+        tail = "0.25,0.125,1.5,1"
+        runs = [("gd", 0), ("gd", 1), ("rcm-kin", 1), ("gd", 0), ("gd", 10), ("gd", 1)]
+        path = tmp_path / "rows.csv"
+        path.write_text(CSV_HEADER + "\n" + "".join(f"{m},{r},{i},{tail}\n" for m, r in runs for i in range(3)))
+        back = _same_rows(path)
+        assert [(r.method, r.rep) for r in back] == [run for run in runs for _ in range(3)]
+
+    def test_last_line_without_newline(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text(CSV_HEADER + "\ngd,0,0,1.0,0.5,2.0,1\ngd,0,1,1.0,0.5,2.0,1")
+        assert [r.restart for r in _same_rows(path)] == [1, 1]
+
+    def test_header_errors(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        for text in ("", "method,rep,iter\n", "x\ngd,0,0,1.0,0.5,2.0,0\n"):
+            path.write_text(text)
+            assert _same_error(path).startswith(f"{path}: unexpected header")
+
+    @pytest.mark.parametrize("line, lineno", MALFORMED + [
+        # a bad iter or rep on a line whose tail is already cached
+        ("gd,0,x,1.0,0.5,2.0,0\n", 3),
+        ("gd,0,1.0,1.0,0.5,2.0,0\n", 3),
+        ("gd,0,1,1.0,0.5,2.0,0\ngd,0,,1.0,0.5,2.0,0\n", 4),
+        ("gd,x,1,1.0,0.5,2.0,0\n", 3),
+        ("gd,0,1,0.5,0.5,2.0,0\ngd,,2,0.5,0.5,2.0,0\n", 4),
+        # errors in the order of the fields, after the field count
+        ("gd,x,one,half,0.25,1.0,0\n", 3),
+        ("gd,0,one,half,0.25,1.0,0\n", 3),
+        ("gd,x,1,0.5\n", 3),
+        ("gd,x\n", 3),
+        ("gd\n", 3),
+        ("gd,x,1,0.5,0.25,1.0,0,\n", 3),
+        ("gd,0,1,0.5,0.25,1.0,0,,,\n", 3),
+        # the tail's fields: a bad restart in a line with and without newline
+        ("gd,0,1,0.5,0.25,1.0,x\n", 3),
+        ("gd,0,1,0.5,0.25,1.0,", 3),
+        ("gd,0,1,0.5,0.25,1.0,1.0", 3),
+        ("gd,0,1,0.5,0.25,l,0\n", 3),
+        ("gd,0,1,0.5,,1.0,0\n", 3),
+        ("gd,0,1,1.0,0.5,2.0,0\ngd,0,2,1.0,0.5,2.0,o\n", 4),
+    ])
+    def test_malformed_rows_fail_as_the_per_line_reader_does(self, tmp_path, line, lineno):
+        path = tmp_path / "rows.csv"
+        path.write_text(MALFORMED_PREFIX + line)
+        assert _same_error(path).startswith(f"{path}: line {lineno}: malformed row (")
+
+    def test_whitespace_around_fields_parses_as_the_per_line_reader_does(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text(MALFORMED_PREFIX + "gd, 0,1 , 1.0,0.5 ,2.0, 1 \ngd,0,2,1.0,0.5,2.0,0 \n")
+        assert len(_same_rows(path)) == 3
+
+    def test_each_distinct_tail_is_parsed_once_per_run(self, tmp_path, monkeypatch):
+        # 1,001 rows of period 2: two distinct tails of three floats each
+        rows = [ResultRow("rcm-kin", 0, i, (0.5, -0.0)[i % 2], (0.25, 0.0)[i % 2], (1e-300, math.inf)[i % 2], i % 2)
+                for i in range(1001)]
+        path = tmp_path / "rows.csv"
+        write_csv(rows, path)
+        parsed = []
+
+        def counting_float(text):
+            parsed.append(text)
+            return float(text)
+
+        monkeypatch.setattr(harness, "float", counting_float, raising=False)
+        assert _bits(read_csv(path)) == _bits(rows)
+        assert len(parsed) == 6
 
 
 class TestCli:

@@ -59,6 +59,34 @@ class TestQuadratic:
         with pytest.raises(ValueError, match="symmetric"):
             quadratic_objective(A, np.zeros(2))
 
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_symmetry_tolerance_is_relative_1e_12(self, scale):
+        # A is exactly symmetric, or accepted within 1e-12 of max(1, |A|max)
+        # and refused beyond it; the accepted one keeps eigvalsh's constants
+        A = scale * np.array([[3.0, 1.0], [1.0, 2.0]])
+        tol = 1e-12 * 3.0 * scale
+        for off, accepted in ((0.0, True), (0.5 * tol, True), (0.9 * tol, True), (2.0 * tol, False), (1e-3 * scale, False)):
+            B = A.copy()
+            B[1, 0] += off
+            if accepted:
+                obj = quadratic_objective(B, np.zeros(2))
+                evals = np.linalg.eigvalsh(B)
+                assert (obj.strong_convexity, obj.lipschitz) == (float(evals[0]), float(evals[-1]))
+                assert obj.A is B
+            else:
+                with pytest.raises(ValueError, match="^A is not symmetric$"):
+                    quadratic_objective(B, np.zeros(2))
+
+    def test_a_negative_entry_sets_the_symmetry_scale(self):
+        # |A|max is 1e6 from the off-diagonal; an asymmetry of 1e-7 lies
+        # within 1e-12 of it, so A is refused only as indefinite
+        A = np.array([[1.0, -1e6], [-1e6 + 1e-7, 1.0]])
+        with pytest.raises(ValueError, match="positive definite"):
+            quadratic_objective(A, np.zeros(2))
+        A[1, 0] = -1e6 + 1e-5
+        with pytest.raises(ValueError, match="^A is not symmetric$"):
+            quadratic_objective(A, np.zeros(2))
+
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="positive definite"):
             quadratic_objective(np.diag([1.0, -0.5]), np.zeros(2))
@@ -287,6 +315,20 @@ def _given_gradient(g, gamma):
     g = np.array(g, dtype=float)
     smooth = SmoothObjective(value=lambda x: 0.0, gradient=lambda x: g.copy(), lipschitz=1.0)
     return CompositeObjective(smooth=smooth, l1_weight=gamma)
+
+
+class TestCompositeValue:
+    def test_value_is_a_python_float_with_the_formula_bits(self):
+        rng = np.random.default_rng(3)
+        for smooth in small_instances(3):
+            n = smooth.A.shape[0]
+            f = CompositeObjective(smooth=smooth, l1_weight=l1_weight_rule("logistic", rng.standard_normal(n)))
+            for x in (np.zeros(n), rng.standard_normal(n), np.r_[-0.0, 1e-300, -np.ones(n - 2)]):
+                v = f.value(x)
+                assert type(v) is float
+                # the formula's IEEE operations, in NumPy scalars
+                expected = smooth.value(x) + f.l1_weight * np.add.reduce(np.abs(x))
+                assert v.hex() == float(expected).hex()
 
 
 class TestMinimalNormSubgradient:
