@@ -10,14 +10,17 @@ accelerated methods used as baselines.
 Every run is deterministic given its inputs, never mutates the objective,
 and records one trace row per iteration plus the starting point.  A run
 whose state comes back bit for bit, at a fixed point or, for the
-conservative loop and FISTA-restart, in a cycle of any period, writes its
+conservative loop and FISTA, in a cycle of any period, writes its
 remaining rows as copies without further oracle calls (``_Recorder``);
-this takes the oracle to be a function of the bits of its point.
+this takes the oracle to be a function of the bits of its point.  FISTA's
+state leaves out its growing t once t no longer changes a bit
+(``composite._fista``).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -106,15 +109,17 @@ class _Recorder:
     A runner that passes ``max_iter`` states its loop's facts once per
     run: ``fixed_point()``, true when every later row repeats the last one
     with no restart or crossing, and, if the loop can cycle, ``state(row)``,
-    the bits that fix every row after ``row``, taking the oracle and the
-    value to be functions of the bits of x.  The state is checkpointed at
-    rows 0, 1, 2, 4, 8, ... and compared with each later row of the same f
-    (R. P. Brent, BIT 20, 1980).  When row r repeats row c's, the run is in
-    a cycle of period p = r - c: it computes (max_iter - r) mod p more rows,
-    and ``add`` returns True once it has copied the last period up to
-    ``max_iter``, flags and iterates included.  So the trace and the final
-    state are those of the loop run to the end, and a run entering a cycle
-    at row m computes its last row before row 2 max(m, p) + 2 p.
+    a tuple of keys, each of which, when it comes back equal, fixes every
+    row after ``row`` to repeat those after the row it came from, taking
+    the oracle and the value to be functions of the bits of x.  The keys
+    are checkpointed at rows 0, 1, 2, 4, 8, ... and compared with each
+    later row's of the same f (R. P. Brent, BIT 20, 1980).  When a key of
+    row r repeats row c's, the run is in a cycle of period p = r - c: it
+    computes (max_iter - r) mod p more rows, and ``add`` returns True once
+    it has copied the last period up to ``max_iter``, flags and iterates
+    included.  So the trace and the final state are those of the loop run
+    to the end, and a run whose key repeats with period p from row m on
+    computes its last row before row 2 max(m, p) + 2 p.
     """
 
     def __init__(self, method, step, keep_iterates, max_iter=None, fixed_point=lambda: False, state=None):
@@ -161,7 +166,7 @@ class _Recorder:
             self._fill()
             return True
         if self._period is None:
-            if fval == self._seen_f and self._state(row) == self._seen:
+            if fval == self._seen_f and any(map(operator.eq, self._state(row), self._seen)):
                 self._period = row - self._seen_row
                 self._mark = row + (self.max_iter - row) % self._period + 1
             elif row + 1 == self._mark:
@@ -285,7 +290,7 @@ def _rcm_loop(value, oracle, L, x0, h, criterion, max_iter, keep_iterates, metho
         return not v.any() and (v - h * g).tobytes() == v.tobytes() and (x + h * v).tobytes() == x.tobytes()
 
     def state(row):
-        return x.tobytes(), v.tobytes(), row - l if reads_lag else row - l >= 1
+        return (x.tobytes(), v.tobytes(), row - l if reads_lag else row - l >= 1),
 
     rec = _Recorder(method, h, keep_iterates, max_iter, at_rest, state)
     # h, -h and h^2 enter the products as 0-d float64 arrays: the same IEEE

@@ -314,7 +314,8 @@ def estimate_fstar(obj, x0, budget: int) -> float:
     families (m = 2n) clip far more: most draws there are separable or
     unbounded below, with no minimum (ROADMAP.md, open item 1).  A
     reference run stops computing at an exact fixed point or, for
-    FISTA-restart, once an exact cycle of its state has shown.
+    FISTA-restart, once an exact cycle has shown: of its (x, y, t) state,
+    or of its (x, y) bits after t has stopped changing a bit.
     """
     if isinstance(obj, QuadraticObjective):
         return _quadratic_min_value(obj)

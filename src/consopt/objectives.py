@@ -280,10 +280,11 @@ def gen_random_quadratic(n: int, lam_lo: float, lam_hi: float, seed: int) -> Qua
 
     A = (M + M')/2 for M = Q diag(evals) Q' is formed in a 64-byte-aligned
     buffer (:func:`_aligned_matrix`), which :func:`quadratic_objective`
-    keeps, so every gradient's product A x runs on the boundary.  Q diag(evals)
-    is formed in the dead buffer of the normal draw, and adding into the
-    aligned buffer and halving in place keeps the bits of 0.5 * (M + M'),
-    without further n x n temporaries."""
+    keeps, so every gradient's product A x runs on the boundary, and b is
+    drawn into another, with the bits of ``standard_normal(n)``.
+    Q diag(evals) is formed in the dead buffer of the normal draw, and
+    adding into the aligned buffer and halving in place keeps the bits of
+    0.5 * (M + M'), without further n x n temporaries."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not (0 < lam_lo <= lam_hi):
@@ -295,7 +296,7 @@ def gen_random_quadratic(n: int, lam_lo: float, lam_hi: float, seed: int) -> Qua
     M = np.multiply(Q, evals, out=G) @ Q.T
     A = np.add(M, M.T, out=_aligned_matrix(n, n))
     A *= 0.5
-    b = rng.standard_normal(n)
+    b = rng.standard_normal(out=_aligned_matrix(1, n)[0])
     return quadratic_objective(A, b)
 
 

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from consopt.composite import (
+    MOMENTA_CHECKED,
+    _t_step,
     fista_restart_run,
     fista_run,
     prox_l1,
@@ -180,6 +184,14 @@ class TestFista:
         t2 = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t1 * t1))
         assert t2 == pytest.approx((1 + np.sqrt(5)) / 2)
 
+    def test_momenta_are_nondecreasing(self):
+        # _fista stops at an (x, y) cycle only while every momentum it forms
+        # is one of the first MOMENTA_CHECKED = 10**7, which
+        # _momenta_nondecreasing(MOMENTA_CHECKED) confirms in about 3 s.
+        # Tier 1 checks the 50,000 of criterion 08's f* reference run.
+        assert MOMENTA_CHECKED >= 50_000
+        assert _momenta_nondecreasing(50_000)
+
     def test_gamma_zero_matches_smooth_accelerated(self):
         smooth = gen_random_quadratic(10, 0.05, 6.0, 5)
         f = CompositeObjective(smooth=smooth, l1_weight=0.0)
@@ -201,6 +213,58 @@ class TestFista:
         assert len(trace) == 38
         # FISTA has no velocity and never crosses by projection.
         assert trace.v is None and trace.crossings is None
+
+
+def _momenta_nondecreasing(n):
+    """Whether the first n momenta of ``composite._t_step``, counted from
+    t = 1, are nondecreasing and at most 1."""
+    t, prev = 1.0, 0.0
+    for _ in range(n):
+        t, c = _t_step(t)
+        if not prev <= c <= 1.0:
+            return False
+        prev = c
+    return True
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)  # signed zeros, subnormals and huge values included
+
+
+@st.composite
+def _momentum_steps(draw):
+    """x, dx and momenta c0 <= c in [0, 1], with dx often below half an
+    ulp of x, so that x + c0 dx and x + dx often agree."""
+    x = draw(_finite)
+    dx = draw(st.one_of(_finite, st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+                        st.floats(-2.0 ** -53, 2.0 ** -53).map(lambda u: u * x)))
+    c0, c = sorted(draw(st.floats(0.0, 1.0)) for _ in range(2))
+    return x, dx, c0, c
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_momentum_steps())
+@example((-0.0, -0.0, 0.0, 0.5))
+@example((-0.0, 0.0, 0.25, 0.5))
+@example((-5e-324, 5e-324, 0.5, 0.75))
+@example((1.7e308, 1e292, 0.0, 0.5))
+@example((1e308, 1.7e308, 0.5, 0.75))
+def test_momentum_step_with_the_bits_of_both_ends_has_them_between(step):
+    # The soundness step of _fista's (x, y) cycle stop: y = x + c dx,
+    # formed as _fista forms it, is monotone in c, and a zero y has one
+    # sign across [c0, 1], so equal bits at c0 and at 1 mean equal bits at
+    # every c between.
+    x, dx, c0, c = step
+    x, dx = np.array([x]), np.array([dx])
+
+    def y(m):
+        return x + np.array(m) * dx
+
+    with np.errstate(over="ignore"):
+        lo, mid, hi = y(c0), y(c), y(1.0)
+        assert hi.tobytes() == (x + dx).tobytes()
+    assert min(lo[0], hi[0]) <= mid[0] <= max(lo[0], hi[0])
+    if lo.tobytes() == hi.tobytes():
+        assert mid.tobytes() == hi.tobytes()
 
 
 class TestFistaRestart:

@@ -488,11 +488,14 @@ def test_infinite_step_is_rejected_before_any_oracle_call(runner):
     _assert_rejected_before_any_oracle_call(runner, np.inf)
 
 
-def _plain_fista(f, x0, s, max_iter, restart):
-    """FISTA written out in full: rows of (f, residual, restart, x)."""
+def _plain_fista(f, x0, s, max_iter, restart, yts=None):
+    """FISTA written out in full: rows of (f, residual, restart, x).  A
+    list passed as ``yts`` receives each row's (y, t)."""
     x = np.array(x0, dtype=float)
     y, t = x.copy(), 1.0
     rows = [(f.value(x), np.linalg.norm(minimal_norm_subgradient(f, x)), False, x)]
+    if yts is not None:
+        yts.append((y, t))
     for _ in range(max_iter):
         x_prev = x
         x = prox_l1(y - s * f.smooth.gradient(y), s * f.l1_weight)
@@ -504,6 +507,8 @@ def _plain_fista(f, x0, s, max_iter, restart):
             y = x + ((t - 1.0) / t_next) * (x - x_prev)
             t = t_next
         rows.append((f.value(x), np.linalg.norm(minimal_norm_subgradient(f, x)), fire, x))
+        if yts is not None:
+            yts.append((y, t))
     return rows
 
 
@@ -527,6 +532,17 @@ def _plain_nag(obj, x0, s, max_iter, beta=None):
         y = y_new
         rows.append((obj.value(x), np.linalg.norm(g), fire, x))
     return rows
+
+
+def _assert_rows(trace, rows):
+    """The trace's columns, iterates kept, and its final x are those of
+    ``rows``, as the loops written out in full give them."""
+    fvals, residuals, restarts, xs = zip(*rows)
+    assert trace.fvals.tobytes() == np.array(fvals).tobytes()
+    assert trace.residuals.tobytes() == np.array(residuals).tobytes()
+    assert np.array_equal(trace.restarts, restarts)
+    assert trace.xs.tobytes() == np.array(xs).tobytes()
+    assert trace.x.tobytes() == xs[-1].tobytes()
 
 
 def _counted(smooth):
@@ -569,13 +585,8 @@ def test_fixed_point_rows_are_copies_made_without_oracle_calls(method):
         else:
             trace = nag_c_restart_run(counted, x0, s, max_iter, keep_iterates=True)
             rows = _plain_nag(obj, x0, s, max_iter)
-    fvals, residuals, restarts, xs = zip(*rows)
     assert len(trace) == max_iter + 1
-    assert trace.fvals.tobytes() == np.array(fvals).tobytes()
-    assert trace.residuals.tobytes() == np.array(residuals).tobytes()
-    assert np.array_equal(trace.restarts, restarts)
-    assert trace.xs.tobytes() == np.array(xs).tobytes()
-    assert trace.x.tobytes() == xs[-1].tobytes()
+    _assert_rows(trace, rows)
     assert trace.v is None
     assert calls[0] < max_iter
 
@@ -804,22 +815,60 @@ def test_fista_restart_cycle_rows_are_copies_of_one_period(base_seed, start, per
     # (x, y, t) state repeats with the given period from row ``start``, so
     # the run stops calling the oracle at the cycle, making the calls of the
     # full loop at that row: one gradient for the step and one inside the
-    # subgradient per row, after row 0's one.  Plain FISTA, whose t grows,
-    # makes the calls it makes without the cycle stop.  Every column of
-    # both matches the loop run to the end.
+    # subgradient per row, after row 0's one.  Plain FISTA stops at a fixed
+    # point at rows 206 and 343 of the first two, and on the third enters a
+    # cycle of period 12 at row 666, too late for a checkpoint to catch
+    # before max_iter.  Every column of both matches the loop run to the
+    # end.
     f, x0 = build_instance(ExperimentConfig(problem="logistic", l1=True, n=50, m=200, base_seed=base_seed), 0)
     s, max_iter = 1.0 / f.smooth.lipschitz, 1000
     assert restart_calls == 1 + 2 * _cycle_stop_row(start, period, max_iter)
     for run, expected in ((fista_restart_run, restart_calls), (fista_run, fista_calls)):
         counted, calls = _counted(f.smooth)
         trace = run(replace(f, smooth=counted), x0, s, max_iter, keep_iterates=True)
-        fvals, residuals, restarts, xs = zip(*_plain_fista(f, x0, s, max_iter, restart=run is fista_restart_run))
-        assert trace.fvals.tobytes() == np.array(fvals).tobytes()
-        assert trace.residuals.tobytes() == np.array(residuals).tobytes()
-        assert np.array_equal(trace.restarts, restarts)
-        assert trace.xs.tobytes() == np.array(xs).tobytes()
-        assert trace.x.tobytes() == xs[-1].tobytes()
+        _assert_rows(trace, _plain_fista(f, x0, s, max_iter, restart=run is fista_restart_run))
         assert calls[0] == expected
+
+
+def _first_t_free_repeat(rows, yts):
+    """(row, period) of the first row whose x and y bits come back with no
+    step between that restarted or formed a y other than x + dx in bits,
+    or None."""
+    seen, t_steps = {}, 0
+    for r, ((_, _, fire, x), (y, _)) in enumerate(zip(rows, yts)):
+        if r and (fire or y.tobytes() != (x + (x - rows[r - 1][3])).tobytes()):
+            t_steps += 1
+        key = (x.tobytes(), y.tobytes(), t_steps)
+        if key in seen:
+            return seen[key], r - seen[key]
+        seen[key] = r
+    return None
+
+
+@pytest.mark.parametrize("base_seed, method, start, period", [
+    (10002, "fista", 348, 79), (10002, "fista-restart", 392, 3),
+    (10029, "fista", 141, 4), (10029, "fista-restart", 89, 10),
+])
+def test_fista_cycle_in_which_t_grows_is_copied(base_seed, method, start, period):
+    # Over the logistic-l1 benchmark's 60 instances (base seeds
+    # 10000-10059, max_iter 1000), 10002 is the first on which both runs
+    # repeat their x and y bits with a period above 1 and no step between
+    # that depended on t, and 10029 the one with the longest such period of
+    # FISTA-restart.  t grows over the period, so the (x, y, t) state never
+    # repeats, but the momentum no longer changes a bit: the run stops at
+    # the cycle with the calls of the full loop at that row, and every
+    # column matches the loop run to the end.
+    f, x0 = build_instance(ExperimentConfig(problem="logistic", l1=True, n=50, m=200, base_seed=base_seed), 0)
+    s, max_iter, restart = 1.0 / f.smooth.lipschitz, 1000, method == "fista-restart"
+    yts = []
+    rows = _plain_fista(f, x0, s, max_iter, restart, yts)
+    assert _first_t_free_repeat(rows, yts) == (start, period)
+    assert yts[start + period][1] > yts[start][1]
+    counted, calls = _counted(f.smooth)
+    trace = (fista_restart_run if restart else fista_run)(replace(f, smooth=counted), x0, s, max_iter,
+                                                          keep_iterates=True)
+    _assert_rows(trace, rows)
+    assert calls[0] == 1 + 2 * _cycle_stop_row(start, period, max_iter) < 1 + 2 * max_iter
 
 
 class TestDivergenceBoundary:

@@ -188,7 +188,8 @@ def _fista_restart_cycles():
     10055 and 10056; n = 50, m = 200, max_iter = 1000).  With the restart
     the (x, y, t) state repeats exactly with periods 14, 209 and 37 from
     rows 62, 114 and 493; without it, the runs reach an exact fixed point
-    or run to the end."""
+    or run to the end (base seed 10056 enters an (x, y) cycle at row 666,
+    too late for a checkpoint to catch it)."""
     traces = []
     for base_seed in (10012, 10055, 10056):
         f, x0 = build_instance(ExperimentConfig(problem="logistic", l1=True, n=50, m=200, base_seed=base_seed), 0)

@@ -140,8 +140,10 @@ class TestRandomQuadratic:
         # where BLAS products run fastest; NumPy's own block would sit at
         # the heap's offset for small n and 16 bytes past a page for the
         # mmap-served large ones.  The bits are 0.5 (M + M') of the stream.
+        # b starts on the boundary too, with the stream's bits.
         obj = gen_random_quadratic(n, 0.03, 15.0, n)
         assert obj.A.ctypes.data % 64 == 0 and obj.A.flags.c_contiguous
+        assert obj.b.ctypes.data % 64 == 0 and obj.b.flags.c_contiguous
         rng = np.random.default_rng(n)
         evals = rng.uniform(0.03, 15.0, size=n)
         Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
