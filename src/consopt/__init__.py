@@ -23,7 +23,6 @@ from .objectives import (
     logistic_objective,
     logsumexp_objective,
     minimal_norm_subgradient,
-    power_iteration,
     quadratic_objective,
 )
 from .discrete import (

@@ -2,22 +2,22 @@
 
 Three smooth convex families are provided (quadratic, logistic regression,
 log-sum-exp), each with an analytic gradient and its gradient Lipschitz
-constant (from a dense eigendecomposition for the quadratic, estimated from
-below by :func:`power_iteration` for the other two), plus the l1-composite
-wrapper and its minimal-norm subgradient.  Each family's ``value`` reuses
-the matrix product of the last ``gradient`` call when it is asked for the
-same point, so a value right after a gradient there costs no second product.
-Objectives are immutable after construction and safe to evaluate
-concurrently: the reuse is keyed on the exact bytes of the point, so a point
-mutated in place or given as a list or an integer array is never served a
-stale product, and the stored (key, product) pair is replaced by one atomic
-rebinding.  Generators are pure functions of their sizes and seed (PCG64
-streams via ``numpy.random.default_rng``).
+constant (from a dense eigendecomposition for the quadratic, a certified
+upper bound from the Gram matrix's eigenvalues for the other two), plus the
+l1-composite wrapper and its minimal-norm subgradient.  Each family's
+``value`` reuses the matrix product of the last ``gradient`` call when it is
+asked for the same point, so a value right after a gradient there costs no
+second product.  Objectives are immutable after construction and safe to
+evaluate concurrently: the reuse is keyed on the exact bytes of the point,
+so a point mutated in place or given as a list or an integer array is never
+served a stale product, and the stored (key, product) pair is replaced by
+one atomic rebinding.  Generators are pure functions of their sizes and seed
+(PCG64 streams via ``numpy.random.default_rng``).
 
-The oracles and the power iteration behind the Lipschitz estimates call
-``ndarray.dot``, not ``@`` or ``np.linalg.norm``, and finish the quadratic
-value in floats: the same BLAS calls and IEEE operations, so the same bits,
-at less of NumPy's dispatch cost, which at these sizes rivals the arithmetic.
+The oracles and the Gram matrices behind the Lipschitz bounds call
+``ndarray.dot``, not ``@``, and finish the quadratic value in floats: the
+same BLAS calls and IEEE operations, so the same bits, at less of NumPy's
+dispatch cost, which at these sizes rivals the arithmetic.
 
 The logistic family runs on NumPy alone.  Its product is t = A'x together
 with e = exp(-|t|), one exponential per sample that serves the value
@@ -55,7 +55,6 @@ __all__ = [
     "gen_logsumexp_instance",
     "minimal_norm_subgradient",
     "l1_weight_rule",
-    "power_iteration",
 ]
 
 
@@ -161,44 +160,44 @@ def _shared_product(product, value_of, gradient_of):
     return value, gradient
 
 
-def power_iteration(matvec, n: int) -> float:
-    """Largest eigenvalue of a symmetric PSD operator given as a matvec.
-
-    Starts from the deterministic vector ones(n)/sqrt(n) and iterates until
-    the eigenvalue estimate is stationary to relative tolerance 1e-8.
-    Raises ``ValueError`` at the first step whose estimate is not finite,
-    as it is when the operator has a non-finite entry or its product
-    overflows, and ``RuntimeError`` if the estimate has not settled within
-    10,000 iterations.
-
-    The value ||M v|| at a unit v is an estimate from below, not a
-    certified upper bound: on the benchmark's 60 logistic-l1 instances it
-    settled after 55 to 864 iterations, 2.6e-8 to 9.5e-7 relative below
-    ``np.linalg.eigvalsh``'s largest eigenvalue.
-    """
-    v = np.full(n, 1.0 / np.sqrt(n))
-    lam = 0.0
-    for _ in range(10_000):
-        w = matvec(v)
-        lam_new = math.sqrt(w.dot(w))
-        if not lam_new < math.inf:
-            raise ValueError(f"power iteration estimate {lam_new!r} is not finite")
-        if lam_new == 0.0:
-            return 0.0
-        v = w / lam_new
-        if abs(lam_new - lam) <= 1e-8 * lam_new:
-            return lam_new
-        lam = lam_new
-    raise RuntimeError("power iteration did not converge within 10000 iterations")
+_UNIT_ROUNDOFF = 2.0 ** -53
+_SMALLEST_SUBNORMAL = 2.0 ** -1074
 
 
 def _gram_lambda_max(A) -> float:
-    """lambda_max(A A') by :func:`power_iteration`, refused with a
-    ``ValueError`` naming A as soon as the estimate is not finite."""
-    try:
-        return power_iteration(lambda v: A.dot(A.T.dot(v)), A.shape[0])
-    except ValueError as exc:
-        raise ValueError(f"A has a non-finite entry or A A' overflows ({exc})") from None
+    """A certified upper bound on lambda_max(A A') for an n x m matrix A.
+
+    G = A A' is built one row at a time, G[i] = A A[i], from matrix-vector
+    products, whose bits do not depend on the BLAS thread count; those of
+    the matrix product A.dot(A.T) do, from 100 x 200 on.  The bound
+    eigvalsh(G)[-1] + (m + 2n + 3) u tr(G) + m n eta, with u = 2^-53 and
+    eta the smallest subnormal, adds to the computed eigenvalue a margin for:
+
+    - the Gram's rounding, at most gamma_m ||A||_F^2 + m n eta / 2 in the
+      2-norm, with ||A||_F^2 = tr(G) (Higham, *Accuracy and Stability of
+      Numerical Algorithms*, 2nd ed., section 3.1);
+    - ``eigvalsh``'s backward error, taken as 2 n u ||G||_2 <= 2 n u tr(G)
+      (the p(n) u ||G||_2 of the LAPACK Users' Guide, section 4.7, at
+      p(n) = 2n), and m n eta / 2 for its underflow;
+    - the roundings of the trace, of the margin, of its sum with the
+      eigenvalue and of a later division by a positive float, with the
+      second-order terms: 3 u tr(G) while (m + n) u is small.
+
+    On the logistic-l1 benchmark's 60 instances (50 x 200) the bound lies
+    7.2e-13 to 8.3e-13 relative above ``eigvalsh(A @ A.T)``, and on three
+    of them 40-digit ``mpmath`` put ``eigvalsh(G)`` within 9.7e-16 of the
+    exact value.  A with a NaN or infinite entry, or whose A A' overflows,
+    has a NaN or infinite trace and is refused with a ``ValueError`` that
+    names A.
+    """
+    n, m = A.shape
+    G = np.empty((n, n))
+    for i in range(n):
+        A.dot(A[i], out=G[i])
+    trace = float(G.trace())
+    if not trace < math.inf:
+        raise ValueError(f"A has a non-finite entry or A A' overflows (tr(A A') = {trace!r})")
+    return float(np.linalg.eigvalsh(G)[-1]) + (m + 2 * n + 3) * _UNIT_ROUNDOFF * trace + m * n * _SMALLEST_SUBNORMAL
 
 
 def quadratic_objective(A, b) -> QuadraticObjective:
@@ -266,8 +265,9 @@ def _aligned_matrix(n: int, m: int) -> Array:
     offset the heap's history gives it, and an mmap-served block starts 16
     bytes past a page.  On a 2-core Xeon with AVX-512, a 200 x 200
     matrix-vector product took 3.89 us on the boundary and 5.45 us at 16
-    bytes past it, and the power iterations of ten 50 x 200 instances
-    6.8 ms on it and 8.0-8.9 ms at the other offsets, for the same bits."""
+    bytes past it, and the Lipschitz bounds of ten 50 x 200 instances
+    1.66 ms on it and 1.68-1.87 ms at the other offsets, for the same
+    bits."""
     buf = np.empty(n * m + 8)
     start = -buf.ctypes.data % 64 // 8
     return buf[start:start + n * m].reshape(n, m)
@@ -331,9 +331,9 @@ def logistic_objective(A, y) -> LogisticObjective:
     with |t| from 1e-8 to 630, sigmoid(-t) is within 1.96 ulps, 1.13 at the
     99th percentile (SciPy's ``expit``: 1.99 and 1.65), and softplus(-t)
     within 1.26 ulps (``np.logaddexp``: 1.38).  The Lipschitz constant is
-    lambda_max(A A') / 4, estimated from below by :func:`power_iteration`;
-    A with a NaN or infinite entry is refused with a ``ValueError`` that
-    names it at the iteration's first step.
+    a certified upper bound on lambda_max(A A') / 4 from
+    :func:`_gram_lambda_max`; A with a NaN or infinite entry, or whose
+    A A' overflows, is refused with a ``ValueError`` that names it.
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -387,10 +387,10 @@ def logsumexp_objective(A, b, rho: float) -> LogSumExpObjective:
     """Smoothed max f(x) = rho * log sum_i exp((a_i'x - b_i)/rho).
 
     Evaluation shifts by the max exponent before exponentiating; the gradient
-    is A @ softmax of the shifted exponents.  The Lipschitz constant is
-    lambda_max(A A') / rho, estimated from below by :func:`power_iteration`.
-    A or b with a NaN or infinite entry is refused with a ``ValueError``
-    that names it, A at the power iteration's first step.
+    is A @ softmax of the shifted exponents.  The Lipschitz constant is a
+    certified upper bound on lambda_max(A A') / rho from
+    :func:`_gram_lambda_max`.  A or b with a NaN or infinite entry, and A
+    whose A A' overflows, is refused with a ``ValueError`` that names it.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)

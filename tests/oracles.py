@@ -7,7 +7,9 @@ applied to the defining equations, or 200-bit ``mpmath`` values to
 measure rounding errors in ulps.  The mean dissipation rate of the
 conservative flow, r(t) = E_K(t) / t, and its slope at t = 0 are stated here
 too: only the tests read them, as they do the per-line CSV reader that
-``harness.read_csv`` must agree with.
+``harness.read_csv`` must agree with.  The largest eigenvalue of a Gram
+matrix A A' comes from the exact integer Gram of A's floats and
+``mpmath.eigsy``.
 """
 
 import math
@@ -29,6 +31,19 @@ def fd_gradient(fun, x, rel_step=1e-6):
         e[i] = h
         g[i] = (fun(x + e) - fun(x - e)) / (2.0 * h)
     return g
+
+
+def gram_lambda_max_mp(A, dps=30):
+    """lambda_max(A A') at ``dps`` digits: the Gram of A's floats formed
+    exactly in integers, A scaled by a power of two to integer entries,
+    then rounded to ``dps`` digits and handed to ``mpmath.eigsy``."""
+    A = np.asarray(A, dtype=float)
+    e = int(max(53 - np.frexp(A)[1].min(), 0)) if A.size else 0
+    A_int = np.array([[int(a) for a in row] for row in np.ldexp(A, e).tolist()], dtype=object).reshape(A.shape)
+    G_int = A_int.dot(A_int.T)
+    with mpmath.workdps(dps):
+        G = mpmath.matrix([[mpmath.ldexp(mpmath.mpf(g), -2 * e) for g in row] for row in G_int.tolist()])
+        return max(mpmath.eigsy(G, eigvals_only=True))
 
 
 def max_ulps(computed, exact):

@@ -646,9 +646,10 @@ def _columns(trace):
 def test_at_rest_rows_are_copies_made_without_oracle_calls(runner, criterion):
     # Both instances come to rest (v = 0 and h g = 0) well before max_iter:
     # 2 ||x||^2 at h = 1/2 after a restart, which leaves v = -0.0, and an
-    # l1-logistic instance of the logistic-l1 benchmark at rows 49-59.  The
-    # runner then stops calling the oracle, and every column still matches
-    # the loop run to the end.
+    # l1-logistic instance of the logistic-l1 benchmark at rows 40-65 (base
+    # seed 70031, the first from 70002 on which all four runs come to rest
+    # before row 100).  The runner then stops calling the oracle, and every
+    # column still matches the loop run to the end.
     if runner == "rcm_run":
         obj = quadratic_objective(4.0 * np.eye(3), np.zeros(3))
         x0, h, max_iter = np.array([1.0, -0.5, 2.0]), 0.5, 50
@@ -657,7 +658,7 @@ def test_at_rest_rows_are_copies_made_without_oracle_calls(runner, criterion):
         ref, calls_at_row = _rcm_loop_without_stop(obj.value, obj.gradient, x0, h, criterion, max_iter,
                                                    f"rcm-{criterion}")
     else:
-        f, x0 = build_instance(ExperimentConfig(problem="logistic", l1=True, n=50, m=200, base_seed=70008), 0)
+        f, x0 = build_instance(ExperimentConfig(problem="logistic", l1=True, n=50, m=200, base_seed=70031), 0)
         h, max_iter = 1.0 / np.sqrt(f.smooth.lipschitz), 1000
         counted, calls = _counted(f.smooth)
         trace = rcm_comp_run(replace(f, smooth=counted), x0, h, criterion, max_iter, keep_iterates=True)
@@ -808,18 +809,19 @@ def test_cycle_stop_on_small_l1_instances():
 
 
 @pytest.mark.parametrize("base_seed, start, period, restart_calls, fista_calls", [
-    (10012, 62, 14, 181, 413), (10055, 114, 209, 1165, 687), (10056, 493, 37, 1113, 2001),
+    (10040, 130, 87, 783, 425), (10152, 92, 30, 321, 517), (10227, 81, 33, 351, 543),
 ])
 def test_fista_restart_cycle_rows_are_copies_of_one_period(base_seed, start, period, restart_calls, fista_calls):
-    # On these instances of the logistic-l1 benchmark FISTA-restart's
-    # (x, y, t) state repeats with the given period from row ``start``, so
-    # the run stops calling the oracle at the cycle, making the calls of the
-    # full loop at that row: one gradient for the step and one inside the
-    # subgradient per row, after row 0's one.  Plain FISTA stops at a fixed
-    # point at rows 206 and 343 of the first two, and on the third enters a
-    # cycle of period 12 at row 666, too late for a checkpoint to catch
-    # before max_iter.  Every column of both matches the loop run to the
-    # end.
+    # On these instances of the logistic-l1 benchmark's shape, the first
+    # three base seeds from 10000 on which FISTA-restart's (x, y, t) state
+    # repeats within max_iter, it repeats with the given period from row
+    # ``start``, so the run stops calling the oracle at the cycle, making
+    # the calls of the full loop at that row: one gradient for the step and
+    # one inside the subgradient per row, after row 0's one.  Plain FISTA
+    # repeats its x and y bits while t grows, from row 211 with period 1
+    # (a fixed point) on the first and from rows 152 and 163 with periods
+    # 2 and 9 on the others, and stops there.  Every column of both
+    # matches the loop run to the end.
     f, x0 = build_instance(ExperimentConfig(problem="logistic", l1=True, n=50, m=200, base_seed=base_seed), 0)
     s, max_iter = 1.0 / f.smooth.lipschitz, 1000
     assert restart_calls == 1 + 2 * _cycle_stop_row(start, period, max_iter)
@@ -846,18 +848,20 @@ def _first_t_free_repeat(rows, yts):
 
 
 @pytest.mark.parametrize("base_seed, method, start, period", [
-    (10002, "fista", 348, 79), (10002, "fista-restart", 392, 3),
-    (10029, "fista", 141, 4), (10029, "fista-restart", 89, 10),
+    (10012, "fista", 203, 32), (10012, "fista-restart", 225, 37),
+    (10051, "fista", 178, 10), (10051, "fista-restart", 75, 8),
 ])
 def test_fista_cycle_in_which_t_grows_is_copied(base_seed, method, start, period):
     # Over the logistic-l1 benchmark's 60 instances (base seeds
-    # 10000-10059, max_iter 1000), 10002 is the first on which both runs
-    # repeat their x and y bits with a period above 1 and no step between
-    # that depended on t, and 10029 the one with the longest such period of
-    # FISTA-restart.  t grows over the period, so the (x, y, t) state never
-    # repeats, but the momentum no longer changes a bit: the run stops at
-    # the cycle with the calls of the full loop at that row, and every
-    # column matches the loop run to the end.
+    # 10000-10059, max_iter 1000), 10012 is the first on which both runs
+    # stop at a repeat of their x and y bits with a period above 1 and no
+    # step between that depended on t, and it has the longest such period
+    # of FISTA-restart; 10051 has the next longest.  (10003 repeats first,
+    # but its FISTA-restart cycle starts at row 627, too late for a
+    # checkpoint to catch it.)  t grows over the period, so the (x, y, t)
+    # state never repeats, but the momentum no longer changes a bit: the
+    # run stops at the cycle with the calls of the full loop at that row,
+    # and every column matches the loop run to the end.
     f, x0 = build_instance(ExperimentConfig(problem="logistic", l1=True, n=50, m=200, base_seed=base_seed), 0)
     s, max_iter, restart = 1.0 / f.smooth.lipschitz, 1000, method == "fista-restart"
     yts = []

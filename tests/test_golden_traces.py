@@ -13,8 +13,10 @@ go in with an explanation of the difference in CHANGES.md.
 import hashlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
 import warnings
 from dataclasses import fields, replace
 
@@ -33,8 +35,10 @@ from consopt.discrete import RESTART_CRITERIA, DivergenceError, Trace, nag_c_res
 from consopt.harness import ExperimentConfig, build_instance, run_experiment, write_csv
 from consopt.objectives import (
     CompositeObjective,
+    gen_logistic_instance,
     gen_logsumexp_instance,
     gen_random_quadratic,
+    logistic_objective,
     logsumexp_objective,
     quadratic_objective,
 )
@@ -48,18 +52,18 @@ GOLDEN = {
     "bench-quadratic": "5f5440a698e46c780c45caa1e407800e0362782eb69e04041ab49d24f3b55557",
     "csv-quadratic": "ca329359259067b4d433fe70440eda2569ec12cc1beb38d8f5fce6f7df3e0e2b",
     "csv-quadratic-l1": "11889a5c829cbd71e0b2967b360cb786a884f98856fc5fa96510ffb7f3a5cbae",
-    "csv-logistic": "7141692885769f34d56a41547bdc86c7a3b2fdd3f34ec572372a86fe1831923c",
-    "csv-logistic-l1": "85d4343629b0bafad3637ba0798116639270f3007515064d6c8bd9e411634716",
-    "csv-logsumexp": "1efc48e33da9c8549f81f57164c00fdf3838df9b410bff3da9ed1e54865cc920",
-    "csv-logsumexp-l1": "a94bcccd56b6de6b2fb86d57a548e91b65502e78110e9c8cd9930fb535850f2f",
-    "fista-restart-cycles": "111d165ac6405a7be1a75495405be2151b1fd1bfcf27f8e83d9a9bb3cc3f7114",
+    "csv-logistic": "083ece1234bbc635aca1c3d2e5425389153acc0aa33546195249caede30a31e7",
+    "csv-logistic-l1": "7acdf6e8dc664ae482918c69404039d151303b346024afd284597db740d3eaa0",
+    "csv-logsumexp": "e6204b6d0a167a05ef8211267a048a6b0050a5cd54a1506763e08d7ccd05e14a",
+    "csv-logsumexp-l1": "d482d2e960a342bd27ae736226a6efdf0f8f9509b86a8e99acc402dda65d70b4",
+    "fista-restart-cycles": "556069cc9eef2478237807d4bc706185e29c7a247c1ffe0fe2de3e74b8de3851",
     "integrate-conservative": "e88c19747ea44466a9c59cd8fac2b429f901ede9e8e15a9dcd8e077e304ac2fd",
     "kinetic-energy-maxima": "527551dca9a6f133e9531d9d65bb7ecd59bf6394599d98ed04d66f47bf3989e1",
     "nesterov-traces": "022402632018302dd8c5cd15dc9ef914a2ad737a4969f6e90a81084638da1821",
     "piecewise-coercive": "12b01cd2efd9c413957f77787dd4de20e82f3998eab09696e6c30390024b94a7",
     "piecewise-conservative": "c3faacf103d042b95f30aa69631f6bcdf0e5863c10377b8b3dd6eb638296a627",
-    "rcm-comp-cycles": "8c608d81a74d39c0bbec9d4c4ced424663b76347441363186cecc2a3d02952a5",
-    "rcm-traces": "aab51144a866f9393de949dbc799fbb99a3840ff84954f947848cd2b2fdf6637",
+    "rcm-comp-cycles": "3e37bb4b5de6d30886f3c0babe9fa6a7f8b28ed2c36494ebd872b5fa34e8e14b",
+    "rcm-traces": "97c8c96842653ad1e8aa8eff65c5c44dde33b50508e4d8da34f9c84d6e222edb",
 }
 
 
@@ -171,9 +175,9 @@ def _rcm_comp_cycles():
     """The four conservative composite runs, iterates kept, on the first
     four l1-logistic instances of the logistic-l1 benchmark's seed 1
     (n = 50, m = 200, max_iter = 1000).  Between them they end in exact
-    cycles of the (x, v, lag) state with periods 1, 2, 3, 4, 6 and 12
-    (base seed 10000: period 3 from row 64 for grad and mmd-dr), at rest,
-    and in no repeat at all."""
+    cycles of the (x, v, lag) state with periods 1, 2, 4, 6 and 38 (base
+    seed 10002: period 38 from row 123 for mmd-dr), at rest, and in no
+    repeat at all."""
     traces = []
     for base_seed in range(10000, 10004):
         f, x0 = build_instance(ExperimentConfig(problem="logistic", l1=True, n=50, m=200, base_seed=base_seed), 0)
@@ -184,14 +188,14 @@ def _rcm_comp_cycles():
 
 def _fista_restart_cycles():
     """FISTA with and without the restart, iterates kept, on three
-    l1-logistic instances of the logistic-l1 benchmark (base seeds 10012,
-    10055 and 10056; n = 50, m = 200, max_iter = 1000).  With the restart
-    the (x, y, t) state repeats exactly with periods 14, 209 and 37 from
-    rows 62, 114 and 493; without it, the runs reach an exact fixed point
-    or run to the end (base seed 10056 enters an (x, y) cycle at row 666,
-    too late for a checkpoint to catch it)."""
+    l1-logistic instances of the logistic-l1 benchmark's shape (base seeds
+    10040, 10152 and 10227; n = 50, m = 200, max_iter = 1000), the first
+    three from 10000 on which FISTA-restart's (x, y, t) state repeats
+    exactly: with periods 87, 30 and 33 from rows 130, 92 and 81.  Without
+    the restart, the runs repeat their x and y bits while t grows, at a
+    fixed point or with periods 2 and 9 (from rows 211, 152 and 163)."""
     traces = []
-    for base_seed in (10012, 10055, 10056):
+    for base_seed in (10040, 10152, 10227):
         f, x0 = build_instance(ExperimentConfig(problem="logistic", l1=True, n=50, m=200, base_seed=base_seed), 0)
         s = 1.0 / f.smooth.lipschitz
         traces += [run(f, x0, s, 1000, keep_iterates=True) for run in (fista_restart_run, fista_run)]
@@ -283,15 +287,49 @@ def bench_flow_digest():
     return _sha(*chunks)
 
 
-def _bench_flow():
-    """``bench_flow_digest`` computed in a child process with BLAS pinned to
-    one thread, as the benchmark runs: the flow's f* for its bound reports
-    is an exact solve, whose last bits may depend on the BLAS thread count."""
+def _at_one_blas_thread(name):
+    """The printed result of this module's function ``name``, called in a
+    child process with BLAS pinned to one thread, as the benchmark runs."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    code = "import sys; sys.path.insert(0, sys.argv[1]); import test_golden_traces as g; print(g.bench_flow_digest())"
+    code = f"import sys; sys.path.insert(0, sys.argv[1]); import test_golden_traces as g; print(g.{name}())"
     out = subprocess.run([sys.executable, "-c", code, os.path.dirname(os.path.abspath(__file__))], env=env,
                          check=True, capture_output=True, text=True)
     return out.stdout.strip()
+
+
+def _bench_flow():
+    """``bench_flow_digest`` at one BLAS thread: the flow's f* for its bound
+    reports is an exact solve, whose last bits may depend on the BLAS
+    thread count."""
+    return _at_one_blas_thread("bench_flow_digest")
+
+
+def thread_checked_outputs():
+    """The Lipschitz bounds, as float hex, of the logistic-l1 benchmark's 60
+    instances (base seeds 10000-10059, 50 x 200), of ten 20 x 80
+    log-sum-exp instances and of ten 100 x 400 logistic ones, and the
+    ``csv-*`` and ``rcm-comp-cycles`` digests, as one line of JSON.  At
+    100 x 400, a Gram formed by the matrix product A.dot(A.T) changes its
+    bits between one and two BLAS threads."""
+    bounds = [logistic_objective(*gen_logistic_instance(50, 200, seed)[:2]).lipschitz.hex()
+              for seed in range(10000, 10060)]
+    bounds += [logsumexp_objective(*gen_logsumexp_instance(20, 80, seed), 1.0).lipschitz.hex() for seed in range(10)]
+    bounds += [logistic_objective(*gen_logistic_instance(100, 400, seed)[:2]).lipschitz.hex() for seed in range(10)]
+    digests = {"rcm-comp-cycles": _rcm_comp_cycles()}
+    with tempfile.TemporaryDirectory() as tmp:
+        for problem in ("quadratic", "logistic", "logsumexp"):
+            for l1 in (False, True):
+                digests["csv-" + problem + "-l1" * l1] = _sha(_family_csv(problem, l1, pathlib.Path(tmp)))
+    return json.dumps({"lipschitz": bounds, "digests": digests}, sort_keys=True)
+
+
+@pytest.mark.filterwarnings("ignore:rep .* clipped")
+def test_lipschitz_bounds_and_digests_do_not_depend_on_the_blas_thread_count():
+    # The Gram behind each logistic and log-sum-exp bound is built from
+    # matrix-vector products, whose bits, unlike the matrix product
+    # A.dot(A.T)'s, do not depend on the thread count.  This process runs
+    # at BLAS's default thread count, one per core.
+    assert thread_checked_outputs() == _at_one_blas_thread("thread_checked_outputs")
 
 
 @pytest.mark.filterwarnings("ignore:rep .* clipped")
