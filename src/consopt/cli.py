@@ -157,11 +157,11 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="run a benchmark family, write CSV rows")
     bench.add_argument("problem", choices=PROBLEMS)
     bench.add_argument("--l1", action="store_true", help="l1-composite variant")
-    bench.add_argument("--n", type=int, default=100)
-    bench.add_argument("--m", type=int, default=200)
-    bench.add_argument("--reps", type=int, default=1)
-    bench.add_argument("--iters", type=int, default=1000)
-    bench.add_argument("--seed", type=int, default=0)
+    bench.add_argument("--n", type=int, default=ExperimentConfig.n)
+    bench.add_argument("--m", type=int, default=ExperimentConfig.m)
+    bench.add_argument("--reps", type=int, default=ExperimentConfig.reps)
+    bench.add_argument("--iters", type=int, default=ExperimentConfig.max_iter)
+    bench.add_argument("--seed", type=int, default=ExperimentConfig.base_seed)
     bench.add_argument("--methods", type=str, default="",
                        help=f"comma-separated method names; smooth: {', '.join(SMOOTH_METHODS)}; "
                        f"with --l1: {', '.join(COMPOSITE_METHODS)}")

@@ -12,12 +12,14 @@ kinetic-energy rule at or past a local maximum of E_K(t), which may
 legitimately never come in more than one dimension.  One scan fires where
 the predicate turns true between two nodes, and bisects that bracket with
 the same predicate on cubic Hermite interpolants of (x, v), evaluating the
-gradient exactly at the interpolated point.  The first-event functions and
-every segment of the piecewise flow run through one segment helper, which
-runs the scan to the flow's cap, decided once before any oracle call, or
-else to a cap it bootstraps from f_star, which must lie below f at the
-segment start, and builds the event.  Theoretical bounds are structured
-reports {bound_name, lhs, rhs, slack, pass}.
+gradient exactly at the interpolated point, and builds each event there.
+The first-event functions and every segment of the piecewise flow run
+through one segment helper, which runs the scan to the flow's cap, decided
+once before any oracle call, or else to a cap it bootstraps from f_star,
+which must lie below f at the segment start, and decides the outcome at
+the cap: no event for the kinetic rule, an error for the mean-dissipation
+rule.  Theoretical bounds are structured reports {bound_name, lhs, rhs,
+slack, pass}.
 
 The scan takes its per-step dots and norms with ``ndarray.dot``, not ``@``
 or ``np.linalg.norm``, and carries them as Python floats: the same BLAS
@@ -39,12 +41,12 @@ to a process that the flow itself never needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional
 
 import numpy as np
 
-from .objectives import QuadraticObjective, SmoothObjective, _quadratic_min_value
+from .objectives import QuadraticObjective, SmoothObjective, _check_positive, _quadratic_min_value
 
 Array = np.ndarray
 
@@ -138,16 +140,8 @@ def default_time_step(obj: SmoothObjective) -> float:
     return 1e-3 / math.sqrt(obj.lipschitz)
 
 
-def _check_positive(name: str, value: float) -> float:
-    """``value`` as a Python float, for the scan's clock (see the module
-    docstring), or ValueError naming it unless it is positive and finite."""
-    if not 0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite")
-    return float(value)
-
-
 def _time_step(obj: SmoothObjective, dt) -> float:
-    """``dt`` checked by ``_check_positive``, ``default_time_step`` if None."""
+    """``dt`` as a Python float, checked by ``_check_positive``, or ``default_time_step`` if None."""
     return default_time_step(obj) if dt is None else _check_positive("dt", dt)
 
 
@@ -364,17 +358,19 @@ def _no_value(x):
 
 def _scan_from_rest(obj, x0, g0, dt, n_steps, after, samples=None, stride=1, t_offset=0.0, value=_no_value):
     """Integrate from rest at x0 for ``n_steps`` steps, yielding in turn
-    each event of the restart rule ``after``.
+    each event of the restart rule ``after`` on a segment that starts at
+    ``t_offset``.
 
     ``g0`` is grad f(x0) when the caller already has it, else None.  An
     event fires at a node where ``after`` holds and did not at the node
     before, so after a kinetic event the scan waits for dE_K/dt > 0 again;
-    nothing fires at node 0.  Each event is ((t, x, v, g), arc): the state
-    refined by bisection and the curve length from x0 to it.  When
-    ``samples`` is a list, the scan appends (t_offset + t, x, v, value(x))
-    at every ``stride``-th node after node 0 as it moves on from that node,
-    so every node recorded before an event lies before it, and ``value``
-    comes right after the gradient at the same x.
+    nothing fires at node 0.  Each event is (event, g): the
+    :class:`RestartEvent` the scan builds at the state refined by
+    bisection, with f there right after its gradient g and the curve length
+    from x0.  When ``samples`` is a list, the scan appends (t_offset + t, x,
+    v, value(x)) at every ``stride``-th node after node 0 as it moves on
+    from that node, so every node recorded before an event lies before it,
+    and ``value`` comes right after the gradient at the same x.
     """
     grad = obj.gradient
     x0 = np.asarray(x0, dtype=float)
@@ -388,27 +384,16 @@ def _scan_from_rest(obj, x0, g0, dt, n_steps, after, samples=None, stride=1, t_o
         node = (t, x, v, g)
         is_after = after(t, float(g.dot(v)), vv)
         if is_after and not was_after:
-            state = _refine_event(grad, after, prev, node)
-            t_ev, _, v_ev, _ = state
-            yield state, arc + 0.5 * (t_ev - prev[0]) * (prev_speed + math.sqrt(v_ev.dot(v_ev)))
+            t_ev, x_ev, v_ev, g_ev = _refine_event(grad, after, prev, node)
+            vv_ev = float(v_ev.dot(v_ev))
+            arc_ev = arc + 0.5 * (t_ev - prev[0]) * (prev_speed + math.sqrt(vv_ev))
+            yield RestartEvent(time=t_ev, time_abs=t_offset + t_ev, kinetic_energy=0.5 * vv_ev,
+                               f_value=obj.value(x_ev), arc_length=arc_ev, x=x_ev, v=v_ev), g_ev
         arc += half_dt * (prev_speed + speed)
         if i == record_at:
             samples.append((t_offset + t, x, v, value(x)))
             record_at += stride
         prev, prev_speed, was_after = node, speed, is_after
-
-
-def _event_from_state(obj, state, arc, t_offset=0.0) -> RestartEvent:
-    t_ev, x_ev, v_ev, _ = state
-    return RestartEvent(
-        time=t_ev,
-        time_abs=t_offset + t_ev,
-        kinetic_energy=0.5 * float(v_ev.dot(v_ev)),
-        f_value=obj.value(x_ev),
-        arc_length=arc,
-        x=x_ev,
-        v=v_ev,
-    )
 
 
 def _segment(obj, x0, g0, f0, dt, cap, f_star, after, samples=None, stride=1, t_offset=0.0, value=_no_value):
@@ -419,35 +404,36 @@ def _segment(obj, x0, g0, f0, dt, cap, f_star, after, samples=None, stride=1, t_
     the finite-restart cap bootstrapped from 16 Verlet steps and the gap
     f0 - ``f_star``, with f0 = f(x0) (only read here), which must be
     positive and finite.  ``samples``, ``stride`` and ``value`` are passed
-    to the scan.  Returns (event, grad f at the event, cap), or (None,
-    None, cap) at the cap.
+    to the scan.  Returns the scan's (event, grad f at the event).  The
+    outcome at the cap is decided here: None for the kinetic rule, whose
+    maximum may never come, and for the mean-dissipation rule, whose
+    maximum the restart-time bound places within the cap, a RuntimeError
+    that names the cap and the segment's start time.
     """
     if cap is None:
         _check_f_star(f_star, f0)
         for _, t1, _, _, _, vv1 in _verlet(obj.gradient, x0, np.zeros_like(g0), dt, 16, g0):
             pass
-        ek1 = 0.5 * vv1
-        if ek1 <= 0.0:
-            raise RuntimeError("kinetic energy vanished during the cap bootstrap")
-        cap = finite_restart_cap(t1, ek1, f0 - f_star)
+        cap = finite_restart_cap(t1, 0.5 * vv1, f0 - f_star)
     scan = _scan_from_rest(obj, x0, g0, dt, _step_count("cap", cap, dt), after, samples, stride, t_offset, value)
-    state, arc = next(scan, (None, None))
-    if state is None:
-        return None, None, cap
-    return _event_from_state(obj, state, arc, t_offset), state[3], cap
+    found = next(scan, None)
+    if found is None and after is _mmd_after:
+        raise RuntimeError(f"no mean-dissipation maximum within the cap {cap:g} of the segment from "
+                           f"t = {t_offset:g}; this contradicts the restart-time upper bound")
+    return found
 
 
 def _first_event(obj, x0, dt, cap, f_star, after):
     """First event of the rule ``after`` on the flow from rest at x0, or
-    None when the scan reaches the cap; also returns the cap."""
+    None when the kinetic rule's scan reaches the cap (``_segment``)."""
     dt, cap = _flow_cap(obj, dt, cap, f_star is not None)
     x0 = np.asarray(x0, dtype=float)
     g0 = obj.gradient(x0)
     if math.sqrt(g0.dot(g0)) == 0.0:
         raise ValueError("grad f(x0) = 0: the flow from rest is stationary")
     # only the bootstrapped cap reads f(x0), served by g0's product
-    event, _, cap = _segment(obj, x0, g0, obj.value(x0) if cap is None else None, dt, cap, f_star, after)
-    return event, cap
+    found = _segment(obj, x0, g0, obj.value(x0) if cap is None else None, dt, cap, f_star, after)
+    return None if found is None else found[0]
 
 
 def mmd_restart_time(
@@ -465,13 +451,9 @@ def mmd_restart_time(
     convex objectives at twice the uniform bound 32 L / (mu sqrt(mu)), else
     by :func:`finite_restart_cap` from the gap f(x0) - ``f_star``, which
     must be positive and finite.  Failing to find the event within the cap
-    raises, since it would contradict the restart-time bound.
+    raises a RuntimeError, since it would contradict the restart-time bound.
     """
-    event, cap = _first_event(obj, x0, dt, cap, f_star, _mmd_after)
-    if event is None:
-        raise RuntimeError(f"no mean-dissipation maximum within the cap {cap:g}; this "
-                           "contradicts the restart-time upper bound")
-    return event
+    return _first_event(obj, x0, dt, cap, f_star, _mmd_after)
 
 
 def kinetic_max_restart_time(
@@ -489,7 +471,7 @@ def kinetic_max_restart_time(
     frequencies), so reaching the cap without an event returns None rather
     than raising.
     """
-    return _first_event(obj, x0, dt, cap, f_star, _kin_after)[0]
+    return _first_event(obj, x0, dt, cap, f_star, _kin_after)
 
 
 def kinetic_energy_maxima(
@@ -501,11 +483,12 @@ def kinetic_energy_maxima(
     """All local maxima of E_K(t) on [0, horizon] for the flow from rest.
 
     Used to check that a kinetic-energy maximum is never a mean-dissipation
-    maximum: at each returned event t*dE_K/dt - E_K = -E_K < 0.
+    maximum: at each returned event t*dE_K/dt - E_K = -E_K < 0.  The
+    events carry a NaN arc length.
     """
     dt = _time_step(obj, dt)
     events = _scan_from_rest(obj, x0, None, dt, _step_count("horizon", horizon, dt), _kin_after)
-    return [_event_from_state(obj, state, np.nan) for state, _ in events]
+    return [replace(event, arc_length=np.nan) for event, _ in events]
 
 
 def run_piecewise_conservative(
@@ -561,10 +544,8 @@ def run_piecewise_conservative(
     for seg in range(n_restarts):
         if math.sqrt(g.dot(g)) <= grad_floor:
             break
-        event, g, seg_cap = _segment(obj, x, g, f_prev, dt, cap, f_star, _mmd_after, samples, record_every, t_abs,
-                                     sample_value)
-        if event is None:
-            raise RuntimeError(f"segment {seg}: no restart within the cap {seg_cap:g}")
+        event, g = _segment(obj, x, g, f_prev, dt, cap, f_star, _mmd_after, samples, record_every, t_abs,
+                            sample_value)
         t_abs = event.time_abs
         samples.append((t_abs, event.x, np.zeros_like(event.x), event.f_value))  # restart: velocity reset
         events.append(event)

@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .objectives import SmoothObjective
+from .objectives import SmoothObjective, _check_positive
 
 Array = np.ndarray
 
@@ -212,8 +212,7 @@ class _Recorder:
 
 def symplectic_euler_step(obj: SmoothObjective, x: Array, v: Array, h: float):
     """One explicit symplectic Euler step: v' = v - h grad f(x), x' = x + h v'."""
-    if not 0 < h < math.inf:
-        raise ValueError("h must be positive and finite")
+    _check_positive("h", h)
     v_new = v - h * obj.gradient(x)
     x_new = x + h * v_new
     return x_new, v_new
@@ -274,8 +273,7 @@ def _rcm_loop(value, oracle, L, x0, h, criterion, max_iter, keep_iterates, metho
     """
     if criterion not in RESTART_CRITERIA:
         raise ValueError(f"unknown restart criterion {criterion!r}")
-    if not 0 < h < math.inf:
-        raise ValueError("h must be positive and finite")
+    _check_positive("h", h)
     if h >= np.sqrt(2.0 / L):
         warnings.warn(
             f"h = {h:g} is outside the convergence range h < sqrt(2/L) = "
@@ -348,16 +346,14 @@ def gradient_descent_run(obj: SmoothObjective, x0, s: float, max_iter: int, keep
     ``_momentum_run`` with momentum 0, so a run that reaches a fixed point
     writes its remaining rows without oracle calls.  A step above 1/L is
     allowed without a warning, so that divergence can be benchmarked."""
-    if not 0 < s < math.inf:
-        raise ValueError("s must be positive and finite")
+    _check_positive("s", s)
     return _momentum_run(obj, x0, s, lambda j: 0.0, max_iter, keep_iterates, "gd")
 
 
 def _check_step(s, L, who, stacklevel=3):
     """Reject a gradient step that is not positive and finite and warn,
     at the runner's caller, about one above 1/L."""
-    if not 0 < s < math.inf:
-        raise ValueError("s must be positive and finite")
+    _check_positive("s", s)
     if s > 1.0 / L:
         warnings.warn(f"{who}: s = {s:g} exceeds 1/L = {1.0 / L:g}", stacklevel=stacklevel)
 

@@ -32,6 +32,7 @@ from .objectives import (
     LogisticObjective,
     QuadraticObjective,
     SmoothObjective,
+    _check_positive,
     _exp_neg_abs,
     _quadratic_min_value,
     _sigmoid_neg,
@@ -157,8 +158,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.base_seed < 0:
             raise ValueError("base_seed must be >= 0")
-        if self.s is not None and not 0 < self.s < np.inf:
-            raise ValueError("s must be positive and finite")
+        if self.s is not None:
+            _check_positive("s", self.s)
         methods = tuple(self.methods) or DEFAULT_METHODS[(self.problem, self.l1)]
         object.__setattr__(self, "methods", methods)
         for name in methods:
@@ -195,28 +196,24 @@ def build_instance(config: ExperimentConfig, rep: int):
     """Instance, starting point, and smooth objective for one repetition.
 
     Returns (objective, x0) where the objective is composite when
-    ``config.l1`` is set.
+    ``config.l1`` is set, with the l1 weight ``l1_weight_rule`` gives for
+    grad g(0), which for the quadratic is b bit for bit.
     """
     seed = config.base_seed + rep
     if config.problem == "quadratic":
         smooth = gen_random_quadratic(config.n, 0.03, 15.0, seed)
         x0 = np.random.default_rng([seed, 1]).standard_normal(config.n)
-        gamma_data = smooth.b
     elif config.problem == "logistic":
         A, y, _ = gen_logistic_instance(config.n, config.m, seed)
         smooth = logistic_objective(A, y)
         x0 = np.zeros(config.n)
-        gamma_data = None
     else:
         A, b = gen_logsumexp_instance(config.n, config.m, seed)
         smooth = logsumexp_objective(A, b, 1.0)
         x0 = np.zeros(config.n)
-        gamma_data = None
     if not config.l1:
         return smooth, x0
-    if gamma_data is None:
-        gamma_data = smooth.gradient(np.zeros(config.n))
-    gamma = l1_weight_rule(config.problem, gamma_data)
+    gamma = l1_weight_rule(config.problem, smooth.gradient(np.zeros(config.n)))
     return CompositeObjective(smooth=smooth, l1_weight=gamma), x0
 
 

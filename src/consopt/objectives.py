@@ -58,6 +58,15 @@ __all__ = [
 ]
 
 
+def _check_positive(name: str, value) -> float:
+    """``value`` as a Python float, or ValueError naming it unless it is
+    positive and finite: the one check of every step size, time span,
+    Lipschitz bound and ``rho`` in the package."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, not {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True, kw_only=True)
 class SmoothObjective:
     """A differentiable convex function with a known gradient Lipschitz bound.
@@ -73,8 +82,7 @@ class SmoothObjective:
     strong_convexity: Optional[float] = None
 
     def __post_init__(self):
-        if not 0 < self.lipschitz < math.inf:
-            raise ValueError(f"lipschitz must be positive and finite, not {self.lipschitz!r}")
+        _check_positive("lipschitz", self.lipschitz)
         mu = self.strong_convexity
         if mu is not None:
             if not mu > 0:
@@ -188,9 +196,12 @@ def _gram_lambda_max(A) -> float:
     of them 40-digit ``mpmath`` put ``eigvalsh(G)`` within 9.7e-16 of the
     exact value.  A with a NaN or infinite entry, or whose A A' overflows,
     has a NaN or infinite trace and is refused with a ``ValueError`` that
-    names A.
+    names A, as is A with no rows, before ``eigvalsh``; A with no columns
+    has G = 0.
     """
     n, m = A.shape
+    if n == 0:
+        raise ValueError("A has no rows")
     G = np.empty((n, n))
     for i in range(n):
         A.dot(A[i], out=G[i])
@@ -207,13 +218,14 @@ def quadratic_objective(A, b) -> QuadraticObjective:
     lambda_min(A), both from a dense symmetric eigendecomposition.  A must be
     symmetric to relative tolerance 1e-12; an exactly symmetric A, as every
     generator makes, passes without forming A - A'.  A or b with a NaN or
-    infinite entry is refused with a ``ValueError`` that names it.  A is
-    kept as given when it is already a float64 array, not copied.
+    infinite entry, and a 0 x 0 A, is refused with a ``ValueError`` that
+    names it.  A is kept as given when it is already a float64 array, not
+    copied.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("A must be a square matrix")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+        raise ValueError("A must be a non-empty square matrix")
     n = A.shape[0]
     if b.shape != (n,):
         raise ValueError("b has inconsistent length")
@@ -332,8 +344,8 @@ def logistic_objective(A, y) -> LogisticObjective:
     99th percentile (SciPy's ``expit``: 1.99 and 1.65), and softplus(-t)
     within 1.26 ulps (``np.logaddexp``: 1.38).  The Lipschitz constant is
     a certified upper bound on lambda_max(A A') / 4 from
-    :func:`_gram_lambda_max`; A with a NaN or infinite entry, or whose
-    A A' overflows, is refused with a ``ValueError`` that names it.
+    :func:`_gram_lambda_max`; A with no rows or a NaN or infinite entry,
+    or whose A A' overflows, is refused with a ``ValueError`` that names it.
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -390,12 +402,12 @@ def logsumexp_objective(A, b, rho: float) -> LogSumExpObjective:
     is A @ softmax of the shifted exponents.  The Lipschitz constant is a
     certified upper bound on lambda_max(A A') / rho from
     :func:`_gram_lambda_max`.  A or b with a NaN or infinite entry, and A
-    whose A A' overflows, is refused with a ``ValueError`` that names it.
+    with no rows or whose A A' overflows, is refused with a ``ValueError``
+    that names it.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    if not 0 < rho < math.inf:
-        raise ValueError(f"rho must be positive and finite, not {rho!r}")
+    _check_positive("rho", rho)
     if A.ndim != 2:
         raise ValueError("A must be a matrix")
     m = A.shape[1]

@@ -373,6 +373,21 @@ class TestMmdRestartTime:
             entry(lse, x0, f_star=lse.value(x0) + offset)
 
 
+class TestOutcomeAtTheCap:
+    # f = x^2 / 2 from rest at x0 = 1: the mean-dissipation maximum is at
+    # TAN_ROOT = 1.1656 and the kinetic one at pi / 2, both past the cap.
+    CAP = 0.5
+
+    @pytest.mark.parametrize("entry", [mmd_restart_time, run_piecewise_conservative])
+    def test_no_mean_dissipation_maximum_raises_naming_the_cap(self, entry):
+        with pytest.raises(RuntimeError, match=r"^no mean-dissipation maximum within the cap 0\.5 of the segment "
+                                               r"from t = 0; this contradicts the restart-time upper bound$"):
+            entry(quad_1d(), np.array([1.0]), cap=self.CAP)
+
+    def test_no_kinetic_maximum_returns_none(self):
+        assert kinetic_max_restart_time(quad_1d(), np.array([1.0]), cap=self.CAP) is None
+
+
 class TestKineticMaxRestart:
     def test_1d_arrives_at_minimizer(self):
         for mu in (0.5, 1.0, 4.0):
@@ -607,6 +622,12 @@ class TestFiniteRestartCap:
     def test_rejects_zero_kinetic_energy(self):
         with pytest.raises(ValueError):
             finite_restart_cap(0.5, 0.0, 0.5)
+
+    def test_a_vanished_bootstrap_energy_is_refused(self):
+        # v = -1e-163 after 16 steps of dt = 1e-3, so E_K(t1) underflows to 0
+        obj = SmoothObjective(value=lambda x: 1e-160 * x[0], gradient=lambda x: np.array([1e-160]), lipschitz=1.0)
+        with pytest.raises(ValueError, match=r"^E_K\(t1\) must be positive$"):
+            mmd_restart_time(obj, [1.0], f_star=-1.0)
 
     def test_used_as_cap_for_non_strongly_convex(self):
         M, c = gen_logsumexp_instance(4, 12, 21)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 import warnings
 from dataclasses import replace
 
@@ -12,7 +13,8 @@ import numpy as np
 import pytest
 from scipy.special import entr
 
-from consopt import discrete, harness
+import consopt
+from consopt import composite, continuous, discrete, harness, objectives
 from consopt.composite import fista_restart_run
 from consopt.harness import (
     CSV_HEADER,
@@ -335,6 +337,20 @@ def test_scipy_submodules_load_only_where_a_run_uses_them():
     src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
     proc = subprocess.run([sys.executable, "-c", _SCIPY_FOOTPRINT, src], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_names_are_those_of_its_modules_all_lists():
+    # consopt/__init__.py star-imports its five modules, so their __all__
+    # lists are the one list of its public names, with no name in two.
+    modules = (objectives, discrete, composite, continuous, harness)
+    exported = {name: module for module in modules for name in module.__all__}
+    assert len(exported) == sum(len(module.__all__) for module in modules)
+    submodules = {name for name, value in vars(consopt).items()
+                  if isinstance(value, types.ModuleType) and value.__name__ == f"consopt.{name}"}
+    assert {name for name in vars(consopt) if not name.startswith("_")} == exported.keys() | submodules
+    assert isinstance(consopt.__version__, str)
+    for name, module in exported.items():
+        assert getattr(consopt, name) is getattr(module, name), name
 
 
 # Lines after MALFORMED_PREFIX that read_csv refuses, and the line it names.

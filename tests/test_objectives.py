@@ -106,6 +106,12 @@ class TestQuadratic:
         with pytest.raises(ValueError, match=f"^{name} has a non-finite entry"):
             quadratic_objective(A, b)
 
+    def test_rejects_an_empty_matrix_before_eigvalsh(self, monkeypatch):
+        # NumPy's "zero-size array to reduction operation maximum" before
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: pytest.fail("eigvalsh called"))
+        with pytest.raises(ValueError, match="^A must be a non-empty square matrix$"):
+            quadratic_objective(np.zeros((0, 0)), np.zeros(0))
+
     def test_rejects_a_non_finite_lipschitz_bound(self):
         for lipschitz in (math.inf, math.nan, 0.0):
             with pytest.raises(ValueError, match="lipschitz must be positive and finite"):
@@ -223,6 +229,15 @@ class TestLogistic:
         with pytest.raises(ValueError, match="^A has a non-finite entry or A A' overflows"), np.errstate(over="ignore"):
             logistic_objective(A, np.array([0.0, 1.0, 1.0]))
 
+    def test_rejects_a_matrix_with_no_rows_before_eigvalsh(self, monkeypatch):
+        # an IndexError from eigvalsh of the 0 x 0 Gram before
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", lambda *a: pytest.fail("eigvalsh called"))
+            with pytest.raises(ValueError, match="^A has no rows$"):
+                logistic_objective(np.zeros((0, 3)), np.zeros(3))
+        # no columns: G = 0, and the Lipschitz field is kept positive
+        assert logistic_objective(np.zeros((3, 0)), np.zeros(0)).lipschitz == np.finfo(float).tiny
+
 
 # The (n, m, seed) of every logistic instance that the tests draw, besides
 # seeds below 2000 at 50 x 200.
@@ -318,6 +333,14 @@ class TestLogSumExp:
         A[0, 1] = bad
         with pytest.raises(ValueError, match="^A has a non-finite entry or A A' overflows"):
             logsumexp_objective(A, np.zeros(3), 1.0)
+
+    def test_rejects_a_matrix_with_no_rows_before_eigvalsh(self, monkeypatch):
+        # an IndexError from eigvalsh of the 0 x 0 Gram before
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", lambda *a: pytest.fail("eigvalsh called"))
+            with pytest.raises(ValueError, match="^A has no rows$"):
+                logsumexp_objective(np.zeros((0, 3)), np.zeros(3), 1.0)
+        assert logsumexp_objective(np.zeros((3, 0)), np.zeros(0), 1.0).lipschitz == np.finfo(float).tiny
 
     def test_rejects_a_matrix_whose_gram_overflows(self):
         with pytest.raises(ValueError, match="^A has a non-finite entry or A A' overflows"), np.errstate(over="ignore"):
